@@ -26,7 +26,7 @@ from .cover_tower import (
 from .cyclic_rep import GroupSpec
 from .decomposition import (
     ALL_METHODS,
-    decompose_closed_form,
+    decompose_methods,
     decompose_pullback,
     graded_piece_divisor,
 )
@@ -104,7 +104,7 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
     g = tower.group
     failures = []
 
-    reports = {name: fn(d, tower) for name, fn in ALL_METHODS.items()}
+    reports, _ = decompose_methods(d, tower, list(ALL_METHODS))
     base = reports["ClosedForm"]
 
     for name, rep in reports.items():

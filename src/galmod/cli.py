@@ -23,8 +23,8 @@ from .cover_tower import (
 )
 from .cyclic_rep import GroupSpec
 from .decomposition import (
-    ALL_METHODS,
     decompose_closed_form,
+    decompose_methods,
     euler_characteristic,
     noether_check,
 )
@@ -132,7 +132,7 @@ def validate_for_run(tower: CoverTower, strict: bool) -> dict:
 def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
                  methods: list[str], strict: bool) -> dict:
     verdict = validate_for_run(tower, strict)
-    reports = {name: ALL_METHODS[name](d, tower) for name in methods}
+    reports, euler = decompose_methods(d, tower, methods)
     first = reports[methods[0]]
     for name, rep in reports.items():
         if rep.mult_list != first.mult_list or rep.degrees != first.degrees:
@@ -140,7 +140,6 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
                 f"method divergence: {name} produced {list(rep.mult_list)}, "
                 f"{methods[0]} produced {list(first.mult_list)}; "
                 f"input: {json.dumps(echo_input(tower, d, options), sort_keys=True)}")
-    euler = euler_characteristic(d, tower)
     return {
         "input": echo_input(tower, d, options),
         "genus_per_level": verdict["genus_per_level"],

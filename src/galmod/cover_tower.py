@@ -25,7 +25,7 @@ from .cyclic_rep import GroupSpec
 from .errors import NegativeGenus, NonIntegralGenus, ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RamifiedOrbit:
     """A G-orbit of ramified points: stabilizer of order p^depth and the
     break sequence of the covers it ramifies in, innermost first."""
@@ -46,7 +46,7 @@ class RamifiedOrbit:
             raise ValidationError(f"orbit {self.id!r}: jumps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverTower:
     group: GroupSpec
     base_genus: int
@@ -93,7 +93,7 @@ class CoverTower:
         return gn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantDivisor:
     """A G-invariant divisor on X: pullback of a degree-`base_degree`
     divisor on Y away from the ramification locus, plus an integer
@@ -114,7 +114,7 @@ class InvariantDivisor:
         return dict(self.orbit_coeffs).get(oid, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelDivisor:
     """A divisor on the level-n curve X_n, in the same coordinates."""
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .errors import NegativeMultiplicity, ValidationError
 
-# p^v above this makes dense p^v x p^v integer matrices pointless at desk
-# scale; it also keeps every intermediate product inside 64-bit range.
+# Largest group order accepted.  The engine is linear in p^v, so this is
+# not a limit of the algorithms; it stays at 3125 until a larger order has
+# a measured time and memory budget.
 MAX_ORDER = 3125
 
 
@@ -33,7 +34,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSpec:
     """The cyclic group Z/p^v, p prime, together with its subgroup lattice
     (one subgroup of order p^w for each 0 <= w <= v)."""
@@ -42,13 +43,20 @@ class GroupSpec:
     v: int
 
     def __post_init__(self):
+        # The cap is checked before the primality test and without forming
+        # p ** v, so no input costs more than O(sqrt(MAX_ORDER)) steps.
+        if self.p > MAX_ORDER:
+            raise ValidationError(f"p = {self.p} exceeds the cap {MAX_ORDER}")
         if not _is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
         if self.v < 0:
             raise ValidationError(f"v = {self.v} must be >= 0")
-        if self.p ** self.v > MAX_ORDER:
-            raise ValidationError(
-                f"group order {self.p}^{self.v} exceeds the cap {MAX_ORDER}")
+        order = 1
+        for _ in range(self.v):
+            order *= self.p
+            if order > MAX_ORDER:
+                raise ValidationError(
+                    f"group order {self.p}^{self.v} exceeds the cap {MAX_ORDER}")
 
     @property
     def order(self) -> int:
@@ -66,7 +74,7 @@ class Indecomposable:
             raise ValidationError(f"indecomposable dimension {self.dim} < 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """A finite multiset of indecomposables: dimension j -> multiplicity m_j.
 
@@ -106,7 +114,7 @@ class Decomposition:
         return [d.get(j, 0) for j in range(1, order + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class K0Vector:
     """An integer vector in K_0(mod k[G]), tagged by the basis it is
     written in: 'simple' (classes S_j) or 'standard' (classes [V_j])."""
@@ -219,7 +227,12 @@ def from_simple_basis(x: K0Vector, g: GroupSpec) -> K0Vector:
         raise ValidationError("expected a simple-basis vector")
     if len(x.coords) != g.order:
         raise ValidationError("coordinate length does not match group order")
-    return K0Vector("standard", _matvec(cartan_inverse(g), x.coords))
+    # cartan_inverse(g) is tridiagonal: apply it in O(p^v) without building it
+    c = x.coords
+    out = [2 * c[i] - (c[i - 1] if i else 0) - c[i + 1]
+           for i in range(len(c) - 1)]
+    out.append(c[-1] - (c[-2] if len(c) > 1 else 0))
+    return K0Vector("standard", tuple(out))
 
 
 def module_from_k0(x: K0Vector, g: GroupSpec) -> Decomposition:

@@ -1,19 +1,23 @@
 """Krull-Schmidt decomposition of H^0(X, L(D)) for a cyclic p-group action.
 
-Four independent routes to the same multiplicities m_j:
+Four routes to the same multiplicities m_j.  Three of them read one
+degree table: deg_j is the degree of the j-th iterated twisted pushforward
+of D, with twist exponents the base-p digits of j - 1 (`degree_table`).
 
-  * closed form: the degree of the j-th iterated twisted pushforward of D,
-    with twist exponents the base-p digits of j - 1; m_j is a first
-    difference of these degrees.
+  * closed form: m_j is a first difference of the degrees.
   * second difference: partial sums a_j of the degrees, m_j as a second
     difference of the a_j.
+  * simple basis: the Euler-characteristic vector in the simple basis,
+    converted with the inverse Cartan matrix.
+
+The fourth builds its own chain:
+
   * recursive: descend the tower one degree-p cover at a time, building the
     graded-piece divisor of V_j from that of the restricted index, then
     convert the resulting simple-basis vector with the inverse Cartan
     matrix.
-  * simple basis: the Euler-characteristic vector in the simple basis,
-    converted with the inverse Cartan matrix.
 
+Every route costs O(p^v) pushforward steps and arithmetic operations.
 All of them require deg D > 2g_X - 2, which forces H^1 to vanish so that
 Euler characteristics compute actual section spaces.
 """
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 
 from .cyclic_rep import (
     Decomposition,
-    GroupSpec,
     K0Vector,
     digits,
     from_simple_basis,
@@ -36,7 +39,6 @@ from .cover_tower import (
     InvariantDivisor,
     LevelDivisor,
     divisor_degree,
-    kani_pushforward,
     level_zero_divisor,
     orbit_point_count,
     pushforward_alpha,
@@ -97,8 +99,19 @@ def level_degrees(d: InvariantDivisor, t: CoverTower, j: int) -> int:
     return divisor_degree(cur, t)
 
 
-def _all_level_degrees(d: InvariantDivisor, t: CoverTower) -> list[int]:
-    return [level_degrees(d, t, j) for j in range(1, t.group.order + 1)]
+def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
+    """[level_degrees(d, t, j) for j = 1..p^v], built breadth-first.
+
+    The level-n divisor of index j depends only on the top n base-p digits
+    of j - 1.  Level n holds one divisor per such prefix, in index order
+    prefix * p + alpha, so the table costs sum_n p^n pushforward steps.
+    """
+    p = t.group.p
+    level = [level_zero_divisor(d, t)]
+    for _ in range(t.group.v):
+        level = [pushforward_alpha(cur, t, alpha)
+                 for cur in level for alpha in range(p)]
+    return [divisor_degree(cur, t) for cur in level]
 
 
 def _report(degrees: list[int], mult: list[int], t: CoverTower,
@@ -108,25 +121,26 @@ def _report(degrees: list[int], mult: list[int], t: CoverTower,
                                t.genus(0), method)
 
 
-def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    """m_j = deg_j - deg_{j+1} for j < p^v; m_{p^v} = 1 - g_Y + deg_{p^v}."""
-    _require_large_degree(d, t)
-    degs = _all_level_degrees(d, t)
+def _euler(degs: list[int], t: CoverTower) -> K0Vector:
+    """Simple-basis vector of running sums sum_{i<=j} (deg_i + 1 - g_Y)."""
+    coords = []
+    acc = 0
+    for deg in degs:
+        acc += deg + 1 - t.base_genus
+        coords.append(acc)
+    return K0Vector("simple", tuple(coords))
+
+
+def _closed_form(degs: list[int], t: CoverTower) -> DecompositionReport:
     n = t.group.order
     mult = [degs[j] - degs[j + 1] for j in range(n - 1)]
     mult.append(1 - t.base_genus + degs[n - 1])
     return _report(degs, mult, t, METHOD_CLOSED)
 
 
-def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    """Same multiplicities via second differences of the partial sums
-    a_j = j(1 - g_Y) + sum_{i<=j} deg_i."""
-    _require_large_degree(d, t)
-    degs = _all_level_degrees(d, t)
+def _second_difference(degs: list[int], t: CoverTower) -> DecompositionReport:
     n = t.group.order
-    a = [0]
-    for j in range(1, n + 1):
-        a.append(j * (1 - t.base_genus) + sum(degs[:j]))
+    a = (0,) + _euler(degs, t).coords
     if n == 1:
         mult = [a[1]]
     else:
@@ -136,36 +150,65 @@ def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> Decomposi
     return _report(degs, mult, t, METHOD_SECOND_DIFF)
 
 
-def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int) -> LevelDivisor:
+def _simple_basis(degs: list[int], t: CoverTower) -> DecompositionReport:
+    std = from_simple_basis(_euler(degs, t), t.group)
+    return _report(degs, list(std.coords), t, METHOD_SIMPLE_BASIS)
+
+
+def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
+    """m_j = deg_j - deg_{j+1} for j < p^v; m_{p^v} = 1 - g_Y + deg_{p^v}."""
+    _require_large_degree(d, t)
+    return _closed_form(degree_table(d, t), t)
+
+
+def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
+    """Same multiplicities via second differences of the partial sums
+    a_j = j(1 - g_Y) + sum_{i<=j} deg_i."""
+    _require_large_degree(d, t)
+    return _second_difference(degree_table(d, t), t)
+
+
+def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int, *,
+                         memo: dict | None = None) -> LevelDivisor:
     """Divisor on Y of the j-th graded piece, by recursive descent: split
     j = (l-1)p + j', handle V_l on the subtower down to level v - 1, then
-    apply the degree-p break-correction step with exponent j' - 1."""
+    apply the degree-p break-correction step with exponent j' - 1.
+
+    `memo` maps (level, index) to the divisors already descended through;
+    pass one dict to every call for the same (d, t) to share them.
+    """
     g = t.group
+    if memo is None:
+        memo = {}
 
     def rec(n: int, idx: int) -> LevelDivisor:
-        if n == 0:
-            return level_zero_divisor(d, t)
-        l, jp = divmod(idx - 1, g.p)
-        sub = rec(n - 1, l + 1)
-        return pushforward_alpha(sub, t, jp)
+        hit = memo.get((n, idx))
+        if hit is None:
+            if n == 0:
+                hit = level_zero_divisor(d, t)
+            else:
+                l, jp = divmod(idx - 1, g.p)
+                hit = pushforward_alpha(rec(n - 1, l + 1), t, jp)
+            memo[n, idx] = hit
+        return hit
 
     return rec(g.v, j)
+
+
+def _recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
+    g = t.group
+    memo: dict = {}
+    degs = [divisor_degree(graded_piece_divisor(d, t, j, memo=memo), t)
+            for j in range(1, g.order + 1)]
+    std = from_simple_basis(_euler(degs, t), g)
+    return _report(degs, list(std.coords), t, METHOD_RECURSIVE)
 
 
 def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
     """Multiplicities via the recursive graded-piece divisors and the
     inverse Cartan matrix."""
     _require_large_degree(d, t)
-    g = t.group
-    degs = [divisor_degree(graded_piece_divisor(d, t, j), t)
-            for j in range(1, g.order + 1)]
-    b = []
-    acc = 0
-    for deg in degs:
-        acc += deg + 1 - t.base_genus
-        b.append(acc)
-    std = from_simple_basis(K0Vector("simple", tuple(b)), g)
-    return _report(degs, list(std.coords), t, METHOD_RECURSIVE)
+    return _recursive(d, t)
 
 
 def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:
@@ -173,23 +216,14 @@ def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:
     coordinate j is sum_{i<=j} (deg_i + 1 - g_Y).  Defined for any degree;
     below the vanishing threshold it is a genuine Euler characteristic,
     not an H^0 dimension."""
-    degs = _all_level_degrees(d, t)
-    coords = []
-    acc = 0
-    for deg in degs:
-        acc += deg + 1 - t.base_genus
-        coords.append(acc)
-    return K0Vector("simple", tuple(coords))
+    return _euler(degree_table(d, t), t)
 
 
 def decompose_simple_basis(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
     """Multiplicities read off the Euler-characteristic vector through the
     inverse Cartan matrix."""
     _require_large_degree(d, t)
-    degs = _all_level_degrees(d, t)
-    chi = euler_characteristic(d, t)
-    std = from_simple_basis(chi, t.group)
-    return _report(degs, list(std.coords), t, METHOD_SIMPLE_BASIS)
+    return _simple_basis(degree_table(d, t), t)
 
 
 ALL_METHODS = {
@@ -198,6 +232,26 @@ ALL_METHODS = {
     METHOD_RECURSIVE: decompose_recursive,
     METHOD_SIMPLE_BASIS: decompose_simple_basis,
 }
+
+_TABLE_ROUTES = {
+    METHOD_CLOSED: _closed_form,
+    METHOD_SECOND_DIFF: _second_difference,
+    METHOD_SIMPLE_BASIS: _simple_basis,
+}
+
+
+def decompose_methods(d: InvariantDivisor, t: CoverTower, methods: list[str]
+                      ) -> tuple[dict[str, DecompositionReport], K0Vector]:
+    """Run the named routes with one degree check and one degree table.
+
+    The table routes all read the same `degree_table`; Recursive builds its
+    own chain.  Also returns the Euler characteristic read off that table.
+    """
+    _require_large_degree(d, t)
+    degs = degree_table(d, t)
+    reports = {name: _recursive(d, t) if name == METHOD_RECURSIVE
+               else _TABLE_ROUTES[name](degs, t) for name in methods}
+    return reports, _euler(degs, t)
 
 
 def decompose_pullback(deg_m: int, t: CoverTower) -> DecompositionReport:

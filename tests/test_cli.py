@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from galmod import cover_tower, cyclic_rep, decomposition
 from galmod.cli import main
 
 Z4_DOC = {
@@ -186,3 +187,61 @@ def test_trivial_group_document(tmp_path, capsys):
     report = json.loads(out)
     assert report["multiplicities"] == [4]
     assert report["dim_h0"] == 4
+
+
+@pytest.mark.parametrize("group", [{"p": 10 ** 18 + 3, "v": 1},
+                                   {"p": 2, "v": 10 ** 12},
+                                   {"p": 3127, "v": 0}])
+def test_group_above_cap_exit_3_without_unbounded_work(group, tmp_path,
+                                                        capsys, monkeypatch):
+    real = cyclic_rep._is_prime
+
+    def guarded(n):
+        assert n <= cyclic_rep.MAX_ORDER, f"primality test run on p = {n}"
+        return real(n)
+
+    monkeypatch.setattr(cyclic_rep, "_is_prime", guarded)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(FREE_DOC, group=group)))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 3
+    assert out == ""
+    assert "exceeds the cap" in err
+
+
+# Order 5^5 = 3125, orbits of depth 1, 3 and 5 with strict-valid breaks.
+ORDER_3125_DOC = {
+    "group": {"p": 5, "v": 5},
+    "base_genus": 0,
+    "orbits": [{"id": "P0", "depth": 1, "jumps": [7]},
+               {"id": "P1", "depth": 5,
+                "jumps": [1031163, 41163, 1663, 63, 3]},
+               {"id": "P2", "depth": 3, "jumps": [5109, 209, 9]}],
+    "divisor": {"base_degree": 1859,
+                "orbit_coeffs": {"P0": 16, "P1": 16, "P2": -27}},
+    "options": {"strict_validation": True},
+}
+
+
+def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
+    calls = {"pushforward_alpha": 0, "cartan_inverse": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (cover_tower, decomposition, cyclic_rep):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    path = tmp_path / "order3125.json"
+    path.write_text(json.dumps(ORDER_3125_DOC))
+    code, out, _ = run(capsys, "decompose", str(path), "--method", "all",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["multiplicities"]) == 3125
+    assert 0 < calls["pushforward_alpha"] <= 2 * sum(5 ** n for n in range(1, 6))
+    assert calls["cartan_inverse"] == 0

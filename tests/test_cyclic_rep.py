@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from galmod import cyclic_rep
 from galmod.cyclic_rep import (
+    MAX_ORDER,
     Decomposition,
     GroupSpec,
     Indecomposable,
@@ -24,6 +28,9 @@ Z4 = GroupSpec(2, 2)
 Z3 = GroupSpec(3, 1)
 Z9 = GroupSpec(3, 2)
 
+DUALITY_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4),
+                  (5, 2), (3, 3), (2, 5), (3, 4), (5, 3)]
+
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -45,6 +52,24 @@ def test_group_spec_rejects_bad_input():
     assert GroupSpec(2, 0).order == 1
 
 
+def test_group_spec_bounds_work_before_primality(monkeypatch):
+    real = cyclic_rep._is_prime
+
+    def guarded(n):
+        assert n <= MAX_ORDER, f"primality test run on p = {n}"
+        return real(n)
+
+    monkeypatch.setattr(cyclic_rep, "_is_prime", guarded)
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        GroupSpec(10 ** 18 + 3, 1)
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        GroupSpec(3127, 0)  # above the cap even for the trivial group
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        GroupSpec(2, 10 ** 12)  # rejected without forming 2 ** v
+    assert GroupSpec(2, 11).order == 2048
+    assert GroupSpec(5, 5).order == MAX_ORDER
+
+
 def test_cartan_matrix_examples():
     assert cartan_matrix(Z3) == [[1, 1, 1], [1, 2, 2], [1, 2, 3]]
     assert cartan_matrix(GroupSpec(2, 0)) == [[1]]
@@ -57,12 +82,21 @@ def test_cartan_inverse_examples():
     assert matmul(cartan_matrix(Z4), cartan_inverse(Z4)) == identity(4)
 
 
-@pytest.mark.parametrize("p,v", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
-                                 (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
-                                 (3, 4), (5, 3)])
+@pytest.mark.parametrize("p,v", DUALITY_ORDERS)
 def test_cartan_duality_up_to_125(p, v):
     g = GroupSpec(p, v)
     assert matmul(cartan_matrix(g), cartan_inverse(g)) == identity(g.order)
+
+
+@pytest.mark.parametrize("p,v", DUALITY_ORDERS)
+def test_from_simple_basis_matches_dense_inverse(p, v):
+    g = GroupSpec(p, v)
+    inv = cartan_inverse(g)
+    rng = random.Random(p * 100 + v)
+    for _ in range(5):
+        x = tuple(rng.randint(-1000, 1000) for _ in range(g.order))
+        dense = tuple(sum(row[k] * x[k] for k in range(g.order)) for row in inv)
+        assert from_simple_basis(K0Vector("simple", x), g).coords == dense
 
 
 def test_digits_examples():

@@ -8,14 +8,17 @@ from galmod.cover_tower import (
     kani_pushforward,
     level_zero_divisor,
 )
+from galmod.checks import generate_corpus
 from galmod.cyclic_rep import Decomposition, GroupSpec, K0Vector, to_simple_basis
 from galmod.decomposition import (
     ALL_METHODS,
     decompose_closed_form,
+    decompose_methods,
     decompose_pullback,
     decompose_recursive,
     decompose_second_difference,
     decompose_simple_basis,
+    degree_table,
     euler_characteristic,
     graded_piece_divisor,
     level_degrees,
@@ -49,6 +52,35 @@ def test_level_degrees_v1():
     d = InvariantDivisor.from_dict(0, {"P": 4})
     assert level_degrees(d, t, 1) == 2
     assert level_degrees(d, t, 2) == 0
+
+
+def test_degree_table_matches_level_degrees_on_corpus():
+    for t, d in generate_corpus(3, 200):
+        assert degree_table(d, t) == [level_degrees(d, t, j)
+                                      for j in range(1, t.group.order + 1)]
+
+
+@pytest.mark.parametrize("p,v", [(5, 5), (2, 11), (3, 7)])
+def test_degree_table_matches_level_degrees_at_large_orders(p, v):
+    t = CoverTower(GroupSpec(p, v), 1, (
+        RamifiedOrbit("A", 1, (7,)),
+        RamifiedOrbit("B", v, tuple(range(2 * v + 1, 1, -2))),
+        RamifiedOrbit("C", (v + 1) // 2, (11,) * ((v + 1) // 2))))
+    d = InvariantDivisor.from_dict(3, {"A": 40, "B": -17, "C": 123})
+    table = degree_table(d, t)
+    assert table == [level_degrees(d, t, j) for j in range(1, p ** v + 1)]
+
+
+def test_decompose_methods_matches_each_route():
+    t, d = z4_tower(), z4_divisor()
+    reports, euler = decompose_methods(d, t, list(ALL_METHODS))
+    assert list(reports) == list(ALL_METHODS)
+    for name, fn in ALL_METHODS.items():
+        assert reports[name] == fn(d, t)
+    assert euler == euler_characteristic(d, t)
+    with pytest.raises(DegreeTooSmall):
+        decompose_methods(InvariantDivisor.from_dict(0, {"P": 0}), t,
+                          ["Recursive"])
 
 
 def test_closed_form_v1_fixture():
