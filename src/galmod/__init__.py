@@ -5,19 +5,13 @@ independent Artin-Schreier brute-force oracle."""
 from .cyclic_rep import (
     Decomposition,
     GroupSpec,
-    Indecomposable,
     K0Vector,
     cartan_inverse,
     cartan_matrix,
     digits,
     from_simple_basis,
-    heller,
-    induce,
     is_relatively_projective,
-    module_from_k0,
-    regular_decomposition,
     restrict_step,
-    to_simple_basis,
 )
 from .cover_tower import (
     CoverTower,
@@ -36,8 +30,6 @@ from .decomposition import (
     decompose_closed_form,
     decompose_pullback,
     decompose_recursive,
-    decompose_second_difference,
-    decompose_simple_basis,
     euler_characteristic,
     graded_piece_divisor,
     level_degrees,
@@ -49,7 +41,6 @@ from .errors import (
     DegreeTooSmall,
     GalmodError,
     NegativeGenus,
-    NegativeMultiplicity,
     NonIntegralGenus,
     ParseError,
     ValidationError,

@@ -8,9 +8,7 @@ runs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cover_tower import (
@@ -26,7 +24,7 @@ from .cover_tower import (
 from .cyclic_rep import GroupSpec
 from .decomposition import (
     ALL_METHODS,
-    decompose_methods,
+    PRODUCTION_METHODS,
     decompose_pullback,
     graded_piece_divisor,
 )
@@ -104,8 +102,9 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
     g = tower.group
     failures = []
 
-    reports, _ = decompose_methods(d, tower, list(ALL_METHODS))
-    base = reports["ClosedForm"]
+    reports = {name: ALL_METHODS[name](d, tower)
+               for name in PRODUCTION_METHODS}
+    base = reports[PRODUCTION_METHODS[0]]
 
     for name, rep in reports.items():
         if rep.mult_list != base.mult_list:
@@ -167,21 +166,7 @@ class SuiteResult:
         return not self.failures
 
 
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("GALMOD_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def run_suite(seed: int, cases: int) -> SuiteResult:
-    corpus = generate_corpus(seed, cases)
-    threads = worker_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check_case, corpus))
-    else:
-        results = [check_case(c) for c in corpus]
+    results = [check_case(c) for c in generate_corpus(seed, cases)]
     failures = tuple((i, tuple(f)) for i, f in enumerate(results) if f)
     return SuiteResult(cases, failures)

@@ -23,9 +23,13 @@ from .cover_tower import (
 )
 from .cyclic_rep import GroupSpec
 from .decomposition import (
+    ALL_METHODS,
+    METHOD_CLOSED,
+    METHOD_RECURSIVE,
+    PRODUCTION_METHODS,
     decompose_closed_form,
-    decompose_methods,
     euler_characteristic,
+    euler_from_degrees,
     noether_check,
 )
 from .errors import DegreeTooSmall, GalmodError, ParseError, ValidationError
@@ -37,10 +41,8 @@ EXIT_VALIDATION = 3
 EXIT_DEGREE = 4
 
 METHOD_FLAGS = {
-    "closed": "ClosedForm",
-    "second-diff": "SecondDifference",
-    "recursive": "Recursive",
-    "simple-basis": "SimpleBasis",
+    "closed": METHOD_CLOSED,
+    "recursive": METHOD_RECURSIVE,
 }
 
 
@@ -50,7 +52,9 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # above the interpreter's digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -132,7 +136,7 @@ def validate_for_run(tower: CoverTower, strict: bool) -> dict:
 def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
                  methods: list[str], strict: bool) -> dict:
     verdict = validate_for_run(tower, strict)
-    reports, euler = decompose_methods(d, tower, methods)
+    reports = {name: ALL_METHODS[name](d, tower) for name in methods}
     first = reports[methods[0]]
     for name, rep in reports.items():
         if rep.mult_list != first.mult_list or rep.degrees != first.degrees:
@@ -140,6 +144,7 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
                 f"method divergence: {name} produced {list(rep.mult_list)}, "
                 f"{methods[0]} produced {list(first.mult_list)}; "
                 f"input: {json.dumps(echo_input(tower, d, options), sort_keys=True)}")
+    euler = euler_from_degrees(first.degrees, tower)
     return {
         "input": echo_input(tower, d, options),
         "genus_per_level": verdict["genus_per_level"],
@@ -173,7 +178,7 @@ def cmd_decompose(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
     strict = args.strict or bool(options.get("strict_validation"))
     if args.method == "all":
-        methods = list(METHOD_FLAGS.values())
+        methods = list(PRODUCTION_METHODS)
     else:
         methods = [METHOD_FLAGS[args.method]]
     report = build_report(tower, d, options, methods, strict)

@@ -3,10 +3,10 @@
 The group algebra k[Z/p^v] has exactly p^v indecomposable modules V_1,
 ..., V_{p^v}, V_j being a single Jordan block of dimension j for a fixed
 generator.  Everything here is integer bookkeeping on those blocks:
-Cartan matrices, base change in the Grothendieck group between the
-standard classes [V_j] and the simple-functor classes S_i, restriction
-and induction along the (totally ordered) subgroup lattice, relative
-projectivity, and the Heller shift.
+Cartan matrices, the base change in the Grothendieck group from the
+simple-functor classes S_i to the standard classes [V_j], restriction to
+the subgroup of index p, and relative projectivity with respect to the
+(totally ordered) subgroup lattice.
 
 All functions are pure; all values are immutable.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NegativeMultiplicity, ValidationError
+from .errors import ValidationError
 
 # Largest group order accepted.  The engine is linear in p^v, so this is
 # not a limit of the algorithms; it stays at 3125 until a larger order has
@@ -61,17 +61,6 @@ class GroupSpec:
     @property
     def order(self) -> int:
         return self.p ** self.v
-
-
-@dataclass(frozen=True)
-class Indecomposable:
-    """The indecomposable module V_j of dimension j, 1 <= j <= p^v."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"indecomposable dimension {self.dim} < 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,16 +166,6 @@ def restrict_step(g: GroupSpec, j: int) -> Decomposition:
     return Decomposition.from_dict(parts)
 
 
-def induce(g: GroupSpec, w: int, l: int) -> Indecomposable:
-    """Induction of the subgroup indecomposable V_l (subgroup of order p^w)
-    up to G: Ind V_l = V_{l * p^(v-w)}."""
-    if not 0 <= w <= g.v:
-        raise ValidationError(f"subgroup exponent {w} out of range 0..{g.v}")
-    if not 1 <= l <= g.p ** w:
-        raise ValidationError(f"index {l} out of range 1..{g.p ** w}")
-    return Indecomposable(l * g.p ** (g.v - w))
-
-
 def is_relatively_projective(d: Decomposition, g: GroupSpec, w: int) -> bool:
     """True iff d is a sum of modules induced from the subgroup of order
     p^w, i.e. every occurring dimension is divisible by p^(v-w)."""
@@ -194,31 +173,6 @@ def is_relatively_projective(d: Decomposition, g: GroupSpec, w: int) -> bool:
         raise ValidationError(f"subgroup exponent {w} out of range 0..{g.v}")
     step = g.p ** (g.v - w)
     return all(j % step == 0 for j, _ in d.mult)
-
-
-def heller(g: GroupSpec, j: int) -> Indecomposable | None:
-    """Heller shift: kernel of the projective cover V_{p^v} -> V_j.
-
-    Returns V_{p^v - j}, or None when V_j is itself projective (j = p^v).
-    """
-    if not 1 <= j <= g.order:
-        raise ValidationError(f"index {j} out of range 1..{g.order}")
-    if j == g.order:
-        return None
-    return Indecomposable(g.order - j)
-
-
-def _matvec(m: list[list[int]], x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * x[k] for k in range(len(x))) for row in m)
-
-
-def to_simple_basis(x: K0Vector, g: GroupSpec) -> K0Vector:
-    """Rewrite a standard-basis class in the simple basis (Cartan matrix)."""
-    if x.basis != "standard":
-        raise ValidationError("expected a standard-basis vector")
-    if len(x.coords) != g.order:
-        raise ValidationError("coordinate length does not match group order")
-    return K0Vector("simple", _matvec(cartan_matrix(g), x.coords))
 
 
 def from_simple_basis(x: K0Vector, g: GroupSpec) -> K0Vector:
@@ -233,21 +187,3 @@ def from_simple_basis(x: K0Vector, g: GroupSpec) -> K0Vector:
            for i in range(len(c) - 1)]
     out.append(c[-1] - (c[-2] if len(c) > 1 else 0))
     return K0Vector("standard", tuple(out))
-
-
-def module_from_k0(x: K0Vector, g: GroupSpec) -> Decomposition:
-    """Recover the module (up to isomorphism) from its K_0 class.
-
-    Raises NegativeMultiplicity when the class is merely virtual.
-    """
-    std = x if x.basis == "standard" else from_simple_basis(x, g)
-    if any(c < 0 for c in std.coords):
-        raise NegativeMultiplicity(
-            f"virtual class: standard coordinates {list(std.coords)}")
-    return Decomposition.from_dict(
-        {j + 1: c for j, c in enumerate(std.coords)})
-
-
-def regular_decomposition(g: GroupSpec) -> Decomposition:
-    """The regular module k[G]: one block of full size p^v."""
-    return Decomposition.from_dict({g.order: 1})

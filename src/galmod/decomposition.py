@@ -1,21 +1,22 @@
 """Krull-Schmidt decomposition of H^0(X, L(D)) for a cyclic p-group action.
 
-Four routes to the same multiplicities m_j.  Three of them read one
-degree table: deg_j is the degree of the j-th iterated twisted pushforward
-of D, with twist exponents the base-p digits of j - 1 (`degree_table`).
+The engine reads the multiplicities m_j off one degree table: deg_j is the
+degree of the j-th iterated twisted pushforward of D, with twist exponents
+the base-p digits of j - 1 (`degree_table`), and m_j is a first difference
+of the degrees (`decompose_closed_form`).
 
-  * closed form: m_j is a first difference of the degrees.
-  * second difference: partial sums a_j of the degrees, m_j as a second
-    difference of the a_j.
-  * simple basis: the Euler-characteristic vector in the simple basis,
-    converted with the inverse Cartan matrix.
+One independent cross-check runs beside it in production
+(`PRODUCTION_METHODS`): the recursive route descends the tower one degree-p
+cover at a time, building the graded-piece divisor of V_j from that of the
+restricted index, and converts the resulting Euler-characteristic vector
+with the inverse Cartan matrix.  It never reads the degree table, so its
+agreement with the engine covers both pushforward chains, the first
+difference and the Cartan solve.
 
-The fourth builds its own chain:
-
-  * recursive: descend the tower one degree-p cover at a time, building the
-    graded-piece divisor of V_j from that of the restricted index, then
-    convert the resulting simple-basis vector with the inverse Cartan
-    matrix.
+Two reference formulas stay for the tests: second differences of the
+partial sums of the degrees, and the Euler-characteristic vector of the
+table through the inverse Cartan matrix.  Both read the engine's table,
+so their agreement with it checks algebraic identities only.
 
 Every route costs O(p^v) pushforward steps and arithmetic operations.
 All of them require deg D > 2g_X - 2, which forces H^1 to vanish so that
@@ -25,6 +26,7 @@ Euler characteristics compute actual section spaces.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cyclic_rep import (
@@ -121,26 +123,33 @@ def _report(degrees: list[int], mult: list[int], t: CoverTower,
                                t.genus(0), method)
 
 
-def _euler(degs: list[int], t: CoverTower) -> K0Vector:
+def euler_from_degrees(degrees: Sequence[int], t: CoverTower) -> K0Vector:
     """Simple-basis vector of running sums sum_{i<=j} (deg_i + 1 - g_Y)."""
     coords = []
     acc = 0
-    for deg in degs:
+    for deg in degrees:
         acc += deg + 1 - t.base_genus
         coords.append(acc)
     return K0Vector("simple", tuple(coords))
 
 
-def _closed_form(degs: list[int], t: CoverTower) -> DecompositionReport:
+def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
+    """m_j = deg_j - deg_{j+1} for j < p^v; m_{p^v} = 1 - g_Y + deg_{p^v}."""
+    _require_large_degree(d, t)
+    degs = degree_table(d, t)
     n = t.group.order
     mult = [degs[j] - degs[j + 1] for j in range(n - 1)]
     mult.append(1 - t.base_genus + degs[n - 1])
     return _report(degs, mult, t, METHOD_CLOSED)
 
 
-def _second_difference(degs: list[int], t: CoverTower) -> DecompositionReport:
+def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
+    """Same multiplicities via second differences of the partial sums
+    a_j = j(1 - g_Y) + sum_{i<=j} deg_i."""
+    _require_large_degree(d, t)
+    degs = degree_table(d, t)
     n = t.group.order
-    a = (0,) + _euler(degs, t).coords
+    a = (0,) + euler_from_degrees(degs, t).coords
     if n == 1:
         mult = [a[1]]
     else:
@@ -148,24 +157,6 @@ def _second_difference(degs: list[int], t: CoverTower) -> DecompositionReport:
         mult += [-a[j - 1] + 2 * a[j] - a[j + 1] for j in range(2, n)]
         mult.append(a[n] - a[n - 1])
     return _report(degs, mult, t, METHOD_SECOND_DIFF)
-
-
-def _simple_basis(degs: list[int], t: CoverTower) -> DecompositionReport:
-    std = from_simple_basis(_euler(degs, t), t.group)
-    return _report(degs, list(std.coords), t, METHOD_SIMPLE_BASIS)
-
-
-def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    """m_j = deg_j - deg_{j+1} for j < p^v; m_{p^v} = 1 - g_Y + deg_{p^v}."""
-    _require_large_degree(d, t)
-    return _closed_form(degree_table(d, t), t)
-
-
-def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    """Same multiplicities via second differences of the partial sums
-    a_j = j(1 - g_Y) + sum_{i<=j} deg_i."""
-    _require_large_degree(d, t)
-    return _second_difference(degree_table(d, t), t)
 
 
 def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int, *,
@@ -195,20 +186,16 @@ def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int, *,
     return rec(g.v, j)
 
 
-def _recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    g = t.group
-    memo: dict = {}
-    degs = [divisor_degree(graded_piece_divisor(d, t, j, memo=memo), t)
-            for j in range(1, g.order + 1)]
-    std = from_simple_basis(_euler(degs, t), g)
-    return _report(degs, list(std.coords), t, METHOD_RECURSIVE)
-
-
 def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
     """Multiplicities via the recursive graded-piece divisors and the
     inverse Cartan matrix."""
     _require_large_degree(d, t)
-    return _recursive(d, t)
+    g = t.group
+    memo: dict = {}
+    degs = [divisor_degree(graded_piece_divisor(d, t, j, memo=memo), t)
+            for j in range(1, g.order + 1)]
+    std = from_simple_basis(euler_from_degrees(degs, t), g)
+    return _report(degs, list(std.coords), t, METHOD_RECURSIVE)
 
 
 def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:
@@ -216,14 +203,16 @@ def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:
     coordinate j is sum_{i<=j} (deg_i + 1 - g_Y).  Defined for any degree;
     below the vanishing threshold it is a genuine Euler characteristic,
     not an H^0 dimension."""
-    return _euler(degree_table(d, t), t)
+    return euler_from_degrees(degree_table(d, t), t)
 
 
 def decompose_simple_basis(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
     """Multiplicities read off the Euler-characteristic vector through the
     inverse Cartan matrix."""
     _require_large_degree(d, t)
-    return _simple_basis(degree_table(d, t), t)
+    degs = degree_table(d, t)
+    std = from_simple_basis(euler_from_degrees(degs, t), t.group)
+    return _report(degs, list(std.coords), t, METHOD_SIMPLE_BASIS)
 
 
 ALL_METHODS = {
@@ -233,25 +222,9 @@ ALL_METHODS = {
     METHOD_SIMPLE_BASIS: decompose_simple_basis,
 }
 
-_TABLE_ROUTES = {
-    METHOD_CLOSED: _closed_form,
-    METHOD_SECOND_DIFF: _second_difference,
-    METHOD_SIMPLE_BASIS: _simple_basis,
-}
-
-
-def decompose_methods(d: InvariantDivisor, t: CoverTower, methods: list[str]
-                      ) -> tuple[dict[str, DecompositionReport], K0Vector]:
-    """Run the named routes with one degree check and one degree table.
-
-    The table routes all read the same `degree_table`; Recursive builds its
-    own chain.  Also returns the Euler characteristic read off that table.
-    """
-    _require_large_degree(d, t)
-    degs = degree_table(d, t)
-    reports = {name: _recursive(d, t) if name == METHOD_RECURSIVE
-               else _TABLE_ROUTES[name](degs, t) for name in methods}
-    return reports, _euler(degs, t)
+# The engine first, then the one route that builds its own pushforward
+# chain: the pair `galmod decompose --method all` and `check_case` compare.
+PRODUCTION_METHODS = (METHOD_CLOSED, METHOD_RECURSIVE)
 
 
 def decompose_pullback(deg_m: int, t: CoverTower) -> DecompositionReport:
@@ -320,9 +293,9 @@ def noether_check(t: CoverTower, w: int, seed: int = 0) -> NoetherReport:
     ram = ramification_subgroup_exponent(t)
     containment = ram <= w
     samples = _sample_divisors(t, seed)
+    reports = [decompose_closed_form(d, t) for d in samples]
     all_projective = True
-    for d in samples:
-        rep = decompose_closed_form(d, t)
+    for rep in reports:
         dec = rep.decomposition
         if dec is None or not is_relatively_projective(dec, g, w):
             all_projective = False
@@ -335,11 +308,10 @@ def noether_check(t: CoverTower, w: int, seed: int = 0) -> NoetherReport:
     witness = None
     if not containment:
         step = g.p ** (g.v - w)
-        d = samples[0]
-        rep = decompose_closed_form(d, t)
+        rep = reports[0]
         for j in range(1, g.order + 1):
             if j % step != 0 and rep.mult_list[j - 1] > 0:
-                witness = NoetherWitness(d, j, rep.mult_list[j - 1])
+                witness = NoetherWitness(samples[0], j, rep.mult_list[j - 1])
                 break
     return NoetherReport(containment, all_projective, len(samples),
                          witness, predicted)

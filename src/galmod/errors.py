@@ -23,8 +23,3 @@ class NegativeGenus(ValidationError):
 
 class DegreeTooSmall(GalmodError):
     """Divisor degree does not exceed 2g_X - 2, so H^1 need not vanish."""
-
-
-class NegativeMultiplicity(GalmodError):
-    """A K-theory class has a negative standard coordinate: it is virtual,
-    not the class of an actual module."""

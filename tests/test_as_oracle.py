@@ -4,6 +4,7 @@ from galmod.as_oracle import (
     ASCurve,
     _rank_mod_p,
     jordan_type,
+    jordan_type_of_matrix,
     riemann_roch_basis,
     sigma_matrix,
     to_tower,
@@ -149,3 +150,10 @@ def test_oracle_matches_engine_small_sweep(p):
         for n in range(max(0, 2 * c.genus - 1), 16):
             engine = decompose_closed_form(divisor(n), tower).decomposition
             assert engine == jordan_type(c, n), (p, m, n)
+
+
+def test_jordan_type_of_matrix_single_block():
+    # sigma on the radical (sigma - 1)V_4 of the regular Z/4-module over F_2
+    # is a single Jordan block of size 3
+    j3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert jordan_type_of_matrix(j3, 2) == Decomposition.from_dict({3: 1})

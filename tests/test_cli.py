@@ -1,9 +1,16 @@
+import argparse
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from galmod import cover_tower, cyclic_rep, decomposition
-from galmod.cli import main
+from galmod.checks import check_case, generate_corpus
+from galmod.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 Z4_DOC = {
     "group": {"p": 2, "v": 2},
@@ -50,8 +57,7 @@ def test_decompose_z4_json(z4_file, capsys):
     assert report["dim_h0"] == 6
     assert report["genus_per_level"] == [1, 0, 0]
     assert report["euler_simple_basis"] == [2, 4, 5, 6]
-    assert report["methods"] == ["ClosedForm", "SecondDifference",
-                                 "Recursive", "SimpleBasis"]
+    assert report["methods"] == ["ClosedForm", "Recursive"]
 
 
 def test_decompose_free_tower(free_file, capsys):
@@ -86,6 +92,25 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "decompose", str(path))
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"group": {"p": ' + b"7" * 5000 + b', "v": 1}}',
+                 id="5000-digit-integer",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no limit on integer string conversion")),
+    pytest.param(b"[" * 10 ** 5 + b"]" * 10 ** 5, id="nested-10^5-deep"),
+    pytest.param(b'{"group": "\xff"}', id="invalid-utf8"),
+])
+def test_undecodable_document_exit_2(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_missing_key_exit_2(tmp_path, capsys):
@@ -245,3 +270,34 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     assert len(json.loads(out)["multiplicities"]) == 3125
     assert 0 < calls["pushforward_alpha"] <= 2 * sum(5 ** n for n in range(1, 6))
     assert calls["cartan_inverse"] == 0
+
+
+def test_decompose_method_choices_match_readme():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["decompose"]._actions
+                  if a.dest == "method")
+    synopsis = re.search(r"galmod decompose FILE \[--method ([\w|-]+)\]",
+                         README.read_text())
+    assert method.choices == synopsis.group(1).split("|")
+
+
+def test_cross_check_fires_on_a_wrong_degree_table(z4_file, capsys,
+                                                    monkeypatch):
+    real = decomposition.degree_table
+
+    def off_by_one(d, t):
+        degs = real(d, t)
+        degs[-1] += 1
+        return degs
+
+    case = generate_corpus(1, 1)[0]
+    recursive = decomposition.decompose_recursive(case[1], case[0])
+    monkeypatch.setattr(decomposition, "degree_table", off_by_one)
+    # Recursive builds its own chain, so the patch leaves it unchanged
+    assert decomposition.decompose_recursive(case[1], case[0]) == recursive
+    code, out, err = run(capsys, "decompose", z4_file, "--method", "all")
+    assert code == 1
+    assert out == ""
+    assert "method divergence" in err
+    assert any("disagrees" in msg for msg in check_case(case))

@@ -1,5 +1,6 @@
 import pytest
 
+from galmod import decomposition
 from galmod.cover_tower import (
     CoverTower,
     InvariantDivisor,
@@ -9,11 +10,10 @@ from galmod.cover_tower import (
     level_zero_divisor,
 )
 from galmod.checks import generate_corpus
-from galmod.cyclic_rep import Decomposition, GroupSpec, K0Vector, to_simple_basis
+from galmod.cyclic_rep import Decomposition, GroupSpec, cartan_matrix
 from galmod.decomposition import (
     ALL_METHODS,
     decompose_closed_form,
-    decompose_methods,
     decompose_pullback,
     decompose_recursive,
     decompose_second_difference,
@@ -69,18 +69,6 @@ def test_degree_table_matches_level_degrees_at_large_orders(p, v):
     d = InvariantDivisor.from_dict(3, {"A": 40, "B": -17, "C": 123})
     table = degree_table(d, t)
     assert table == [level_degrees(d, t, j) for j in range(1, p ** v + 1)]
-
-
-def test_decompose_methods_matches_each_route():
-    t, d = z4_tower(), z4_divisor()
-    reports, euler = decompose_methods(d, t, list(ALL_METHODS))
-    assert list(reports) == list(ALL_METHODS)
-    for name, fn in ALL_METHODS.items():
-        assert reports[name] == fn(d, t)
-    assert euler == euler_characteristic(d, t)
-    with pytest.raises(DegreeTooSmall):
-        decompose_methods(InvariantDivisor.from_dict(0, {"P": 0}), t,
-                          ["Recursive"])
 
 
 def test_closed_form_v1_fixture():
@@ -165,9 +153,9 @@ def test_euler_free_tower():
 def test_euler_matches_closed_form_above_threshold():
     t, d = z4_tower(), z4_divisor()
     rep = decompose_closed_form(d, t)
-    std = K0Vector("standard", rep.mult_list)
-    assert to_simple_basis(std, t.group).coords == \
-        euler_characteristic(d, t).coords
+    simple = tuple(sum(c * m for c, m in zip(row, rep.mult_list))
+                   for row in cartan_matrix(t.group))
+    assert simple == euler_characteristic(d, t).coords
 
 
 def test_euler_defined_below_threshold():
@@ -215,8 +203,17 @@ def test_noether_free_tower():
         assert rep.witness is None
 
 
-def test_noether_z4_witness():
+def test_noether_z4_witness(monkeypatch):
+    tables = []
+    real = decomposition.degree_table
+
+    def counting(d, t):
+        tables.append(d)
+        return real(d, t)
+
+    monkeypatch.setattr(decomposition, "degree_table", counting)
     rep = noether_check(z4_tower(), 1)
+    assert len(tables) == rep.sampled  # one table per sampled divisor
     assert not rep.containment
     assert not rep.all_projective
     assert rep.witness is not None
