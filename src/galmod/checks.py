@@ -84,9 +84,6 @@ def random_case(rng: random.Random) -> tuple[CoverTower, InvariantDivisor]:
         if deg <= 2 * g_x - 2:
             bump = (2 * g_x - 2 - deg) // g.order + 1
             d = InvariantDivisor.from_dict(base_degree + bump, coeffs)
-            deg = divisor_degree(level_zero_divisor(d, tower), tower)
-            if deg <= 2 * g_x - 2:
-                continue
         return tower, d
 
 
@@ -128,8 +125,7 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
     composite = level_zero_divisor(d, tower)
     for _ in range(g.v):
         composite = pushforward_alpha(composite, tower, 0)
-    if (kani.base_degree, kani.orbit_coeffs) != (composite.base_degree,
-                                                 composite.orbit_coeffs):
+    if kani != composite:
         failures.append("kani pushforward != alpha=0 composite")
     gr1 = graded_piece_divisor(d, tower, 1)
     if divisor_degree(kani, tower) != divisor_degree(gr1, tower):
@@ -137,8 +133,6 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
 
     # pullback stability against the regular representation
     b = max(0, (2 * g_x - 2) // g.order + 1)
-    while b * g.order <= 2 * g_x - 2:
-        b += 1
     lo = decompose_pullback(b, tower)
     hi = decompose_pullback(b + 2, tower)
     diff = [h - l for h, l in zip(hi.mult_list, lo.mult_list)]

@@ -75,8 +75,11 @@ def parse_document(doc: dict) -> tuple[CoverTower, InvariantDivisor, dict]:
     p = _require(group, "p", int, "group")
     v = _require(group, "v", int, "group")
     base_genus = _require(doc, "base_genus", int, "input")
+    raw_orbits = doc.get("orbits", [])
+    if not isinstance(raw_orbits, list):
+        raise ParseError("input: 'orbits' must be an array")
     orbits = []
-    for k, entry in enumerate(doc.get("orbits", [])):
+    for k, entry in enumerate(raw_orbits):
         if not isinstance(entry, dict):
             raise ParseError(f"orbits[{k}]: must be an object")
         oid = _require(entry, "id", str, f"orbits[{k}]")
@@ -96,6 +99,8 @@ def parse_document(doc: dict) -> tuple[CoverTower, InvariantDivisor, dict]:
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options must be an object")
+    if not isinstance(options.get("strict_validation", False), bool):
+        raise ParseError("options: 'strict_validation' must be a boolean")
 
     tower = CoverTower(GroupSpec(p, v), base_genus,
                        tuple(RamifiedOrbit(*o) for o in orbits))
@@ -176,7 +181,7 @@ def render_table(report: dict) -> str:
 
 def cmd_decompose(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
-    strict = args.strict or bool(options.get("strict_validation"))
+    strict = args.strict or options.get("strict_validation", False)
     if args.method == "all":
         methods = list(PRODUCTION_METHODS)
     else:

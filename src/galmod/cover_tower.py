@@ -7,7 +7,9 @@ ramification break N of each of the m wildly ramified cover steps it
 meets.  Divisors are carried as (degree of the part pulled back from the
 base, one integer coefficient per orbit); this is lossless because every
 divisor the algorithms touch is invariant under the residual group at
-its level.
+its level.  The input form `InvariantDivisor` keys coefficients by orbit
+id; a `LevelDivisor` holds them positionally, coeffs[k] on t.orbits[k],
+so the pushforward chain never looks an orbit up by id.
 
 Conventions:
   * jumps[n-1] is the break of the level-n cover pi_n : X_{n-1} -> X_n
@@ -116,18 +118,12 @@ class InvariantDivisor:
 
 @dataclass(frozen=True, slots=True)
 class LevelDivisor:
-    """A divisor on the level-n curve X_n, in the same coordinates."""
+    """A divisor on the level-n curve X_n: the base degree and one
+    coefficient per orbit, coeffs[k] on t.orbits[k]."""
 
     level: int
     base_degree: int
-    orbit_coeffs: tuple[tuple[str, int], ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "orbit_coeffs",
-                           tuple(sorted(dict(self.orbit_coeffs).items())))
-
-    def coeff(self, oid: str) -> int:
-        return dict(self.orbit_coeffs).get(oid, 0)
+    coeffs: tuple[int, ...]
 
 
 def level_zero_divisor(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:
@@ -139,8 +135,8 @@ def level_zero_divisor(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:
     """
     for oid, _ in d.orbit_coeffs:
         t.orbit(oid)
-    coeffs = {o.id: d.coeff(o.id) for o in t.orbits}
-    return LevelDivisor(0, d.base_degree, tuple(coeffs.items()))
+    return LevelDivisor(0, d.base_degree,
+                        tuple(d.coeff(o.id) for o in t.orbits))
 
 
 def orbit_point_count(o: RamifiedOrbit, n: int, g: GroupSpec) -> int:
@@ -154,8 +150,8 @@ def orbit_point_count(o: RamifiedOrbit, n: int, g: GroupSpec) -> int:
 def divisor_degree(d: LevelDivisor, t: CoverTower) -> int:
     g = t.group
     deg = d.base_degree * g.p ** (g.v - d.level)
-    for oid, c in d.orbit_coeffs:
-        deg += c * orbit_point_count(t.orbit(oid), d.level, g)
+    for o, c in zip(t.orbits, d.coeffs, strict=True):
+        deg += c * orbit_point_count(o, d.level, g)
     return deg
 
 
@@ -173,14 +169,9 @@ def pushforward_alpha(d: LevelDivisor, t: CoverTower, alpha: int) -> LevelDiviso
         raise ValidationError("already at the bottom of the tower")
     if not 0 <= alpha <= g.p - 1:
         raise ValidationError(f"alpha = {alpha} out of range 0..{g.p - 1}")
-    coeffs = {}
-    for oid, c in d.orbit_coeffs:
-        o = t.orbit(oid)
-        if o.depth >= n:
-            coeffs[oid] = (c - alpha * o.jumps[n - 1]) // g.p
-        else:
-            coeffs[oid] = c
-    return LevelDivisor(n, d.base_degree, tuple(coeffs.items()))
+    coeffs = tuple((c - alpha * o.jumps[n - 1]) // g.p if o.depth >= n else c
+                   for o, c in zip(t.orbits, d.coeffs, strict=True))
+    return LevelDivisor(n, d.base_degree, coeffs)
 
 
 def kani_pushforward(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:
@@ -189,8 +180,9 @@ def kani_pushforward(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:
     g = t.group
     for oid, _ in d.orbit_coeffs:
         t.orbit(oid)
-    coeffs = {o.id: d.coeff(o.id) // g.p ** o.depth for o in t.orbits}
-    return LevelDivisor(g.v, d.base_degree, tuple(coeffs.items()))
+    return LevelDivisor(g.v, d.base_degree,
+                        tuple(d.coeff(o.id) // g.p ** o.depth
+                              for o in t.orbits))
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,6 @@ def _sample_divisors(t: CoverTower, seed: int) -> list[InvariantDivisor]:
     g_x = t.genus(0)
     # the 10 smallest pullback degrees above the vanishing bound
     b0 = (2 * g_x - 2) // g.order + 1
-    while b0 * g.order <= 2 * g_x - 2:
-        b0 += 1
     divisors = [InvariantDivisor(base_degree=b) for b in range(b0, b0 + 10)]
     if t.orbits:
         rng = random.Random(seed)

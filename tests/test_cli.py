@@ -113,6 +113,28 @@ def test_undecodable_document_exit_2(content, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc,message", [
+    pytest.param(dict(Z4_DOC, orbits=5), "'orbits' must be an array",
+                 id="orbits-integer"),
+    pytest.param(dict(Z4_DOC, orbits=None), "'orbits' must be an array",
+                 id="orbits-null"),
+    pytest.param(dict(Z4_DOC, orbits={"a": 1}), "'orbits' must be an array",
+                 id="orbits-object"),
+    pytest.param(dict(Z4_DOC, options={"strict_validation": "no"}),
+                 "'strict_validation' must be a boolean",
+                 id="strict-validation-string"),
+])
+def test_ill_typed_document_exit_2(doc, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_missing_key_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"group": {"p": 2}}))
@@ -249,7 +271,7 @@ ORDER_3125_DOC = {
 
 
 def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
-    calls = {"pushforward_alpha": 0, "cartan_inverse": 0}
+    calls = {"pushforward_alpha": 0, "cartan_inverse": 0, "orbit": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -262,6 +284,10 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
+    # the pushforward chain reads coefficients in tower order, so only the
+    # id-keyed input is ever looked up by orbit id
+    monkeypatch.setattr(cover_tower.CoverTower, "orbit",
+                        counting("orbit", cover_tower.CoverTower.orbit))
     path = tmp_path / "order3125.json"
     path.write_text(json.dumps(ORDER_3125_DOC))
     code, out, _ = run(capsys, "decompose", str(path), "--method", "all",
@@ -270,6 +296,7 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     assert len(json.loads(out)["multiplicities"]) == 3125
     assert 0 < calls["pushforward_alpha"] <= 2 * sum(5 ** n for n in range(1, 6))
     assert calls["cartan_inverse"] == 0
+    assert calls["orbit"] <= 20
 
 
 def test_decompose_method_choices_match_readme():

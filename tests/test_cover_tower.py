@@ -72,41 +72,59 @@ def test_free_tower_genus_formula(p, v, gy):
 
 def test_divisor_degree_examples():
     t = one_orbit_tower(2, 1, [3])
-    d = LevelDivisor(0, 0, (("P", 4),))
+    d = LevelDivisor(0, 0, (4,))
     assert divisor_degree(d, t) == 4
-    assert divisor_degree(LevelDivisor(1, 7, ()), t) == 7
-    assert divisor_degree(LevelDivisor(0, 3, ()), t) == 6
+    assert divisor_degree(LevelDivisor(1, 7, (0,)), t) == 7
+    assert divisor_degree(LevelDivisor(0, 3, (0,)), t) == 6
 
 
 def test_pushforward_alpha_coefficients():
     t = one_orbit_tower(3, 1, [3])
-    d = LevelDivisor(0, 5, (("P", 7),))
-    assert pushforward_alpha(d, t, 1).coeff("P") == 1
-    assert pushforward_alpha(d, t, 0).coeff("P") == 2
-    assert pushforward_alpha(d, t, 0).base_degree == 5
+    d = LevelDivisor(0, 5, (7,))
+    assert pushforward_alpha(d, t, 1) == LevelDivisor(1, 5, (1,))
+    assert pushforward_alpha(d, t, 0) == LevelDivisor(1, 5, (2,))
     t2 = one_orbit_tower(2, 1, [1])
-    d2 = LevelDivisor(0, 0, (("P", -1),))
-    assert pushforward_alpha(d2, t2, 0).coeff("P") == -1
+    d2 = LevelDivisor(0, 0, (-1,))
+    assert pushforward_alpha(d2, t2, 0).coeffs == (-1,)
 
 
 def test_pushforward_alpha_skips_unramified_orbits():
     t = CoverTower(GroupSpec(2, 2), 0,
                    (RamifiedOrbit("P", 2, (3, 1)), RamifiedOrbit("Q", 1, (3,))))
-    d = LevelDivisor(1, 2, (("P", 5), ("Q", 7)))
+    d = LevelDivisor(1, 2, (5, 7))
     out = pushforward_alpha(d, t, 1)
-    assert out.level == 2
-    assert out.coeff("P") == (5 - 1) // 2  # level-2 break of P is 1
-    assert out.coeff("Q") == 7  # Q is unramified in pi_2
-    assert out.base_degree == 2
+    # level-2 break of P is 1; Q is unramified in pi_2
+    assert out == LevelDivisor(2, 2, ((5 - 1) // 2, 7))
+
+
+def test_coefficients_follow_tower_order():
+    # Q is listed before P, against the sorted order of the ids
+    t = CoverTower(GroupSpec(3, 1), 0,
+                   (RamifiedOrbit("Q", 1, (2,)), RamifiedOrbit("P", 1, (1,))))
+    d = level_zero_divisor(InvariantDivisor.from_dict(4, {"P": 10, "Q": 20}), t)
+    assert d == LevelDivisor(0, 4, (20, 10))
+    # each orbit takes its own break: (20 - 2*2) // 3 and (10 - 2*1) // 3
+    assert pushforward_alpha(d, t, 2) == LevelDivisor(1, 4, (5, 2))
+    assert kani_pushforward(InvariantDivisor.from_dict(0, {"P": 7}), t) == \
+        LevelDivisor(1, 0, (0, 2))
+
+
+def test_coefficient_count_must_match_orbits():
+    t = CoverTower(GroupSpec(2, 2), 0,
+                   (RamifiedOrbit("P", 2, (3, 1)), RamifiedOrbit("Q", 1, (3,))))
+    for coeffs in ((5,), (5, 7, 9)):
+        d = LevelDivisor(0, 1, coeffs)
+        with pytest.raises(ValueError):
+            pushforward_alpha(d, t, 0)
+        with pytest.raises(ValueError):
+            divisor_degree(d, t)
 
 
 def test_kani_pushforward_examples():
     t = z4_tower()
     d = InvariantDivisor.from_dict(0, {"P": 6})
-    assert kani_pushforward(d, t).coeff("P") == 1
-    zero = InvariantDivisor()
-    out = kani_pushforward(zero, t)
-    assert out.base_degree == 0 and all(c == 0 for _, c in out.orbit_coeffs)
+    assert kani_pushforward(d, t) == LevelDivisor(2, 0, (1,))
+    assert kani_pushforward(InvariantDivisor(), t) == LevelDivisor(2, 0, (0,))
 
 
 @pytest.mark.parametrize("p,v", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
@@ -120,15 +138,14 @@ def test_kani_equals_alpha_zero_composite(p, v):
             for _ in range(v):
                 cur = pushforward_alpha(cur, t, 0)
             kani = kani_pushforward(d, t)
-            assert cur.orbit_coeffs == kani.orbit_coeffs
-            assert cur.base_degree == kani.base_degree
+            assert cur == kani
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_degree_bookkeeping_under_pushforward(p):
     t = one_orbit_tower(p, 1, [3])
     for c in range(-20, 21):
-        d = LevelDivisor(0, 2, (("P", c),))
+        d = LevelDivisor(0, 2, (c,))
         new = pushforward_alpha(d, t, 0)
         old_deg = divisor_degree(d, t)
         new_deg = divisor_degree(new, t)
