@@ -4,9 +4,10 @@ For p prime and gcd(m, p) = 1 the affine model is integrally closed with
 a single, totally ramified point at infinity; the order-p automorphism
 y -> y + 1 generates the Galois group over the x-line.  The section
 space of n * P_inf has the monomial basis {x^i y^j : pi + mj <= n,
-j < p}, on which the action is exact linear algebra over F_p, so the
-Jordan type of the generator is computable by ranks of powers of
-(sigma - 1) with no dependence on the tower machinery it cross-checks.
+j < p}, on which the action is exact linear algebra over F_p.  The
+Jordan type of the generator follows from the ranks of the powers of
+sigma - 1, found by applying sigma - 1 to a basis of the previous image,
+with no dependence on the tower machinery it cross-checks.
 """
 
 from __future__ import annotations
@@ -69,53 +70,49 @@ def sigma_matrix(c: ASCurve, basis: list[tuple[int, int]]) -> list[list[int]]:
     return mat
 
 
-def _rank_mod_p(mat: list[list[int]], p: int) -> int:
-    """Rank by Gaussian elimination with exact arithmetic mod p."""
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r][col] % p != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col] % p, -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] % p != 0:
-                f = a[r][col] % p
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _mat_mul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    size = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(size)) % p
-             for j in range(size)] for i in range(size)]
+def _echelon_mod_p(vectors: list[list[int]], p: int) -> list[list[int]]:
+    """A basis of the span of `vectors` (entries in 0..p-1) over F_p, by
+    Gaussian elimination: each vector is reduced against the rows kept so
+    far and, if anything is left, scaled to a leading 1 and kept.  Every
+    kept row is zero at the pivots of the rows before it."""
+    rows: list[tuple[int, list[int]]] = []
+    for vec in vectors:
+        for col, row in rows:
+            f = vec[col]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is not None:
+            inv = pow(vec[lead], -1, p)
+            rows.append((lead, [x * inv % p for x in vec]))
+    return [row for _, row in rows]
 
 
 def jordan_type_of_matrix(mat: list[list[int]], p: int) -> Decomposition:
-    """Jordan type of a unipotent matrix over F_p from the rank sequence of
-    powers of (M - I): the size-s multiplicity is r_{s-1} - 2 r_s + r_{s+1}."""
+    """Jordan type of a unipotent matrix M over F_p from the ranks
+    r_k = dim im N^k of N = M - I: the size-s multiplicity is
+    r_{s-1} - 2 r_s + r_{s+1}.
+
+    N is held as the nonzero entries of each row.  A basis of im N^k is N
+    applied to a basis of im N^(k-1), echelonized, so no power of N is
+    formed: step k costs r_{k-1} * nnz(N) + r_{k-1}^2 * dim operations.
+    """
     size = len(mat)
-    nil = [[(mat[i][j] - (1 if i == j else 0)) % p for j in range(size)]
-           for i in range(size)]
+    nil = [[(j, (x - (i == j)) % p) for j, x in enumerate(row)
+            if (x - (i == j)) % p] for i, row in enumerate(mat)]
+    image = [[int(i == j) for j in range(size)] for i in range(size)]
     ranks = [size]
-    power = nil
     while ranks[-1] > 0:
-        ranks.append(_rank_mod_p(power, p))
-        power = _mat_mul_mod(power, nil, p)
+        image = _echelon_mod_p(
+            [[sum(x * vec[j] for j, x in row) % p for row in nil]
+             for vec in image], p)
+        if len(image) == ranks[-1]:
+            raise ValidationError("matrix is not unipotent")
+        ranks.append(len(image))
     ranks.append(0)
-    mult = {}
-    for s in range(1, len(ranks) - 1):
-        m = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        if m:
-            mult[s] = m
-    return Decomposition.from_dict(mult)
+    return Decomposition.from_dict(
+        {s: ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
+         for s in range(1, len(ranks) - 1)})
 
 
 def jordan_type(c: ASCurve, n: int) -> Decomposition:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .as_oracle import ASCurve, jordan_type, to_tower
-from .checks import run_suite
+from .checks import fixed_point_failures, run_suite
 from .cover_tower import (
     CoverTower,
     InvariantDivisor,
@@ -109,7 +109,31 @@ def parse_document(doc: dict) -> tuple[CoverTower, InvariantDivisor, dict]:
         if oid not in known:
             raise ValidationError(f"divisor references unknown orbit {oid!r}")
     d = InvariantDivisor.from_dict(base_degree, dict(raw_coeffs))
+    _require_renderable(tower, d)
     return tower, d, options
+
+
+def _require_renderable(tower: CoverTower, d: InvariantDivisor) -> None:
+    """Refuse input that could make some output integer too long for the
+    interpreter's int-to-str limit (0 means no limit).
+
+    With q = p^v, k orbits and M the largest absolute input integer: a
+    genus is at most q(M + 1)(1 + vk) by Riemann-Hurwitz (one break per
+    orbit and level, v <= q levels); a divisor degree at most q(k + 1)M;
+    an Euler coordinate is a sum of q degrees on the base, each at most
+    (k + 1)(2M + 1); and the Noether samples are built from these.  So
+    every rendered integer is below 8 q^2 (k + 1)(M + 1).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    big = max([tower.base_genus, abs(d.base_degree),
+               *(abs(c) for _, c in d.orbit_coeffs),
+               *(n for o in tower.orbits for n in o.jumps)])
+    q = tower.group.order
+    if 8 * q * q * (len(tower.orbits) + 1) * (big + 1) >= 10 ** limit:
+        raise ParseError(f"input integers too large: the output could "
+                         f"exceed {limit} decimal digits")
 
 
 def echo_input(tower: CoverTower, d: InvariantDivisor, options: dict) -> dict:
@@ -143,12 +167,19 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     verdict = validate_for_run(tower, strict)
     reports = {name: ALL_METHODS[name](d, tower) for name in methods}
     first = reports[methods[0]]
-    for name, rep in reports.items():
-        if rep.mult_list != first.mult_list or rep.degrees != first.degrees:
-            raise GalmodError(
-                f"method divergence: {name} produced {list(rep.mult_list)}, "
-                f"{methods[0]} produced {list(first.mult_list)}; "
-                f"input: {json.dumps(echo_input(tower, d, options), sort_keys=True)}")
+    problems = [f"method divergence: {name} produced {list(rep.mult_list)}, "
+                f"{methods[0]} produced {list(first.mult_list)}"
+                for name, rep in reports.items()
+                if rep.mult_list != first.mult_list
+                or rep.degrees != first.degrees]
+    # the fixed-point identities hold on towers that can exist, and need
+    # not on break data that fails the realizability conditions
+    if len(methods) > 1 and validate_strict(tower).ok:
+        problems += fixed_point_failures(d, tower, first.mult_list)[0]
+    if problems:
+        raise GalmodError(
+            "; ".join(problems) + "; input: "
+            + json.dumps(echo_input(tower, d, options), sort_keys=True))
     euler = euler_from_degrees(first.degrees, tower)
     return {
         "input": echo_input(tower, d, options),

@@ -9,9 +9,10 @@ import time
 import pytest
 
 from galmod.as_oracle import ASCurve, jordan_type, to_tower
-from galmod.checks import generate_corpus
+from galmod.checks import fixed_point_failures, generate_corpus
 from galmod.cover_tower import (
     CoverTower,
+    InvariantDivisor,
     RamifiedOrbit,
     divisor_degree,
     kani_pushforward,
@@ -50,17 +51,17 @@ def report(name, start):
 def test_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
-    for p in (2, 3):
+    for p in (2, 3, 5):
         for m in range(1, 10):
             if m % p == 0:
                 continue
             curve = ASCurve(p, m)
             tower, divisor = to_tower(curve)
-            for n in range(max(0, 2 * curve.genus - 1), 31):
+            for n in range(max(0, 2 * curve.genus - 1), 41):
                 engine = decompose_closed_form(divisor(n), tower).decomposition
                 assert engine == jordan_type(curve, n), (p, m, n)
                 checked += 1
-    assert checked > 0
+    assert checked == 605
     # hand-verified fixtures
     assert jordan_type(ASCurve(2, 3), 4) == Decomposition.from_dict({1: 2, 2: 1})
     assert jordan_type(ASCurve(3, 2), 5) == Decomposition.from_dict({2: 1, 3: 1})
@@ -78,6 +79,28 @@ def test_dimension_identity(corpus):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(f"dimension identity ({len(corpus)} cases)", start)
+
+
+def test_fixed_point_identities(corpus):
+    start = time.perf_counter()
+    levels = 0
+    for tower, d in corpus:
+        rep = decompose_closed_form(d, tower)
+        assert fixed_point_failures(d, tower, rep.mult_list) == ([], 0), \
+            (tower, d)
+        levels += tower.group.v + 1
+    report(f"fixed-point identities ({levels} levels, none skipped)", start)
+
+
+def test_fixed_point_levels_below_riemann_roch_are_skipped():
+    # free Z/2^2 tower over genus 2, base degree 2 = 2g_Y - 2: every level
+    # has deg = 2g_k - 2, so no level is compared, whatever the input
+    tower = CoverTower(GroupSpec(2, 2), 2)
+    d = InvariantDivisor(base_degree=2)
+    assert [tower.genus(k) for k in range(3)] == [5, 3, 2]
+    assert fixed_point_failures(d, tower, [0, 0, 0, 99]) == ([], 3)
+    assert fixed_point_failures(InvariantDivisor(base_degree=3), tower,
+                                [0, 0, 0, 99])[1] == 0
 
 
 def test_method_agreement(corpus):

@@ -1,8 +1,10 @@
+import random
+from collections import Counter
+
 import pytest
 
 from galmod.as_oracle import (
     ASCurve,
-    _rank_mod_p,
     jordan_type,
     jordan_type_of_matrix,
     riemann_roch_basis,
@@ -12,6 +14,74 @@ from galmod.as_oracle import (
 from galmod.cyclic_rep import Decomposition
 from galmod.decomposition import decompose_closed_form
 from galmod.errors import DegreeTooSmall, ValidationError
+
+
+# The dense reference: rank of every power of N = M - I, each power formed
+# by an n x n matrix product.
+
+
+def dense_rank(mat, p):
+    a = [row[:] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r][col] % p != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col] % p, -1, p)
+        a[rank] = [(x * inv) % p for x in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][col] % p != 0:
+                f = a[r][col] % p
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def dense_rank_sequence(mat, p):
+    """[rank N^0, rank N^1, ...] up to the first zero."""
+    size = len(mat)
+    nil = [[(mat[i][j] - (i == j)) % p for j in range(size)]
+           for i in range(size)]
+    ranks = [size]
+    power = nil
+    while ranks[-1] > 0:
+        ranks.append(dense_rank(power, p))
+        power = [[sum(power[i][k] * nil[k][j] for k in range(size)) % p
+                  for j in range(size)] for i in range(size)]
+    return ranks
+
+
+def dense_jordan_type(mat, p):
+    ranks = dense_rank_sequence(mat, p) + [0]
+    return Decomposition.from_dict(
+        {s: ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
+         for s in range(1, len(ranks) - 1)})
+
+
+def conjugated_unipotent(blocks, p, rng):
+    """P J P^-1 for J the direct sum of unipotent Jordan blocks of the given
+    sizes and P a random product of elementary matrices over F_p."""
+    size = sum(blocks)
+    mat = [[int(i == j) for j in range(size)] for i in range(size)]
+    start = 0
+    for b in blocks:
+        for i in range(start, start + b - 1):
+            mat[i][i + 1] = 1
+        start += b
+    for _ in range(3 * size * size if size > 1 else 0):
+        a, b = rng.sample(range(size), 2)
+        c = rng.randrange(1, p)
+        # row a += c row b, then column b -= c column a: conjugation by
+        # I + c E_ab
+        mat[a] = [(x + c * y) % p for x, y in zip(mat[a], mat[b])]
+        for row in mat:
+            row[b] = (row[b] - c * row[a]) % p
+    return mat
 
 
 def test_curve_invariants():
@@ -106,19 +176,29 @@ def test_jordan_blocks_bounded_by_p_and_total_dim(p, m):
 
 
 def test_rank_sequence_strictly_decreasing():
-    from galmod.as_oracle import sigma_matrix as sm
     c = ASCurve(3, 2)
-    basis = riemann_roch_basis(c, 8)
-    mat = sm(c, basis)
-    size = len(basis)
-    nil = [[(mat[i][j] - (i == j)) % 3 for j in range(size)] for i in range(size)]
-    ranks = [size]
-    power = nil
-    while ranks[-1] > 0:
-        ranks.append(_rank_mod_p(power, 3))
-        power = [[sum(power[i][k] * nil[k][j] for k in range(size)) % 3
-                  for j in range(size)] for i in range(size)]
+    mat = sigma_matrix(c, riemann_roch_basis(c, 8))
+    ranks = dense_rank_sequence(mat, 3)
     assert all(a > b for a, b in zip(ranks, ranks[1:]))
+    assert jordan_type_of_matrix(mat, 3) == dense_jordan_type(mat, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jordan_type_of_matrix_on_random_conjugates(p):
+    # block sizes up to 9 exceed p: the routine is generic linear algebra,
+    # not a count of the sigma-stable blocks of the Artin-Schreier basis
+    rng = random.Random(p)
+    for _ in range(15):
+        blocks = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+        mat = conjugated_unipotent(blocks, p, rng)
+        expected = Decomposition.from_dict(dict(Counter(blocks)))
+        assert jordan_type_of_matrix(mat, p) == expected, blocks
+        assert dense_jordan_type(mat, p) == expected, blocks
+
+
+def test_jordan_type_of_matrix_rejects_non_unipotent():
+    with pytest.raises(ValidationError):
+        jordan_type_of_matrix([[1, 1], [0, 2]], 3)
 
 
 def test_to_tower_is_strict_valid():

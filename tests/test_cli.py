@@ -328,3 +328,51 @@ def test_cross_check_fires_on_a_wrong_degree_table(z4_file, capsys,
     assert out == ""
     assert "method divergence" in err
     assert any("disagrees" in msg for msg in check_case(case))
+
+
+def reversed_breaks(d, t, alpha):
+    """`pushforward_alpha` reading the breaks outermost-first: a wrong chain
+    that ClosedForm and Recursive both walk."""
+    n = d.level + 1
+    coeffs = tuple((c - alpha * o.jumps[o.depth - n]) // t.group.p
+                   if o.depth >= n else c
+                   for o, c in zip(t.orbits, d.coeffs))
+    return cover_tower.LevelDivisor(n, d.base_degree, coeffs)
+
+
+def test_fixed_points_catch_a_chain_both_routes_share(z4_file, capsys,
+                                                      monkeypatch):
+    case = next(c for c in generate_corpus(1, 200)
+                if any(o.depth >= 2 for o in c[0].orbits))
+    monkeypatch.setattr(cover_tower, "pushforward_alpha", reversed_breaks)
+    monkeypatch.setattr(decomposition, "pushforward_alpha", reversed_breaks)
+    failures = check_case(case)
+    assert not any("disagrees" in msg for msg in failures)
+    # level 1 is strictly between the dimension and the Kani identities
+    assert any(msg.startswith("fixed points of the order-p^1 subgroup")
+               for msg in failures)
+    code, out, err = run(capsys, "decompose", z4_file, "--method", "all")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: fixed points of the order-p^")
+    assert '"orbit_coeffs": {"P": 6}' in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on integer string conversion")
+@pytest.mark.parametrize("argv", [["decompose", "--format", "json"],
+                                  ["decompose", "--format", "table"],
+                                  ["euler"]])
+def test_unrenderable_integers_exit_2(argv, tmp_path, capsys):
+    # each input is within the digit limit, but dim H^0 and the Euler
+    # vector of this free Z/2^2 tower would exceed it
+    genus = 9 * 10 ** (sys.get_int_max_str_digits() - 2)
+    doc = dict(FREE_DOC, group={"p": 2, "v": 2}, base_genus=genus,
+               divisor={"base_degree": 5 * genus, "orbit_coeffs": {}})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
