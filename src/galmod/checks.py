@@ -28,6 +28,7 @@ from .cyclic_rep import GroupSpec
 from .decomposition import (
     ALL_METHODS,
     PRODUCTION_METHODS,
+    DecompositionReport,
     decompose_pullback,
     graded_piece_divisor,
 )
@@ -133,6 +134,20 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
     return failures, skipped
 
 
+def route_fixed_point_failures(d: InvariantDivisor, t: CoverTower,
+                               reports: dict[str, DecompositionReport]
+                               ) -> list[str]:
+    """`fixed_point_failures` of each distinct multiplicity list among the
+    reports, each message naming the routes that produced it: when two
+    routes diverge, this says which of them is wrong."""
+    routes: dict[tuple[int, ...], list[str]] = {}
+    for name, rep in reports.items():
+        routes.setdefault(rep.mult_list, []).append(name)
+    return [f"{msg} ({', '.join(names)})"
+            for mult, names in routes.items()
+            for msg in fixed_point_failures(d, t, mult)[0]]
+
+
 def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
     """All cross-method and structural invariants on one (tower, divisor)
     pair; returns the list of violated invariants (empty = pass)."""
@@ -149,7 +164,7 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
             failures.append(
                 f"method {name} disagrees: {rep.mult_list} vs {base.mult_list}")
 
-    failures += fixed_point_failures(d, tower, base.mult_list)[0]
+    failures += route_fixed_point_failures(d, tower, reports)
 
     if any(m < 0 for m in base.mult_list):
         failures.append(f"negative multiplicity on strict-valid data: "

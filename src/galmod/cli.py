@@ -12,7 +12,7 @@ import json
 import sys
 
 from .as_oracle import ASCurve, jordan_type, to_tower
-from .checks import fixed_point_failures, run_suite
+from .checks import route_fixed_point_failures, run_suite
 from .cover_tower import (
     CoverTower,
     InvariantDivisor,
@@ -175,7 +175,7 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     # the fixed-point identities hold on towers that can exist, and need
     # not on break data that fails the realizability conditions
     if len(methods) > 1 and validate_strict(tower).ok:
-        problems += fixed_point_failures(d, tower, first.mult_list)[0]
+        problems += route_fixed_point_failures(d, tower, reports)
     if problems:
         raise GalmodError(
             "; ".join(problems) + "; input: "

@@ -2,24 +2,28 @@
 
 The engine reads the multiplicities m_j off one degree table: deg_j is the
 degree of the j-th iterated twisted pushforward of D, with twist exponents
-the base-p digits of j - 1 (`degree_table`), and m_j is a first difference
-of the degrees (`decompose_closed_form`).
+the base-p digits of j - 1, and m_j is a first difference of the degrees
+(`decompose_closed_form`).  `degree_table` evaluates the collapsed floors
+of that chain as one digit sum per orbit and takes no pushforward: it
+costs O(#orbits * p^D) arithmetic, D the largest orbit depth, plus the
+O(p^v) expansion of the dense table.  `level_degrees` walks the chain for
+one index and stays as the tests' reference for the table.
 
 One independent cross-check runs beside it in production
 (`PRODUCTION_METHODS`): the recursive route descends the tower one degree-p
 cover at a time, building the graded-piece divisor of V_j from that of the
 restricted index, and converts the resulting Euler-characteristic vector
-with the inverse Cartan matrix.  It never reads the degree table, so its
-agreement with the engine covers both pushforward chains, the first
-difference and the Cartan solve.
+with the inverse Cartan matrix.  It is the only production route that
+walks the pushforward chain, so its agreement with the engine sets the
+chain, the Cartan solve and the digit-sum formula against one another.
+It costs sum_n p^n pushforward steps, O(p^v).
 
 Two reference formulas stay for the tests: second differences of the
 partial sums of the degrees, and the Euler-characteristic vector of the
 table through the inverse Cartan matrix.  Both read the engine's table,
 so their agreement with it checks algebraic identities only.
 
-Every route costs O(p^v) pushforward steps and arithmetic operations.
-All of them require deg D > 2g_X - 2, which forces H^1 to vanish so that
+Every route requires deg D > 2g_X - 2, which forces H^1 to vanish so that
 Euler characteristics compute actual section spaces.
 """
 
@@ -102,18 +106,31 @@ def level_degrees(d: InvariantDivisor, t: CoverTower, j: int) -> int:
 
 
 def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
-    """[level_degrees(d, t, j) for j = 1..p^v], built breadth-first.
+    """[level_degrees(d, t, j) for j = 1..p^v] by the digit-sum formula,
+    without taking a pushforward.
 
-    The level-n divisor of index j depends only on the top n base-p digits
-    of j - 1.  Level n holds one divisor per such prefix, in index order
-    prefix * p + alpha, so the table costs sum_n p^n pushforward steps.
+    Iterated floors collapse, floor((floor(x/p) - a)/p) = floor((x - pa)/p^2),
+    so an orbit of depth m, breaks N_1..N_m and coefficient c ends the chain
+    of index j with coefficient floor((c - sum_n p^(n-1) alpha_n N_n) / p^m),
+    alpha_n being the n-th most significant base-p digit of j - 1.  deg_j is
+    b plus the sum over orbits, so it depends only on the top D digits,
+    D the largest orbit depth.  The p^D prefix degrees cost
+    O(#orbits * p^D); the dense table repeats each one p^(v-D) times.
     """
     p = t.group.p
-    level = [level_zero_divisor(d, t)]
-    for _ in range(t.group.v):
-        level = [pushforward_alpha(cur, t, alpha)
-                 for cur in level for alpha in range(p)]
-    return [divisor_degree(cur, t) for cur in level]
+    depth = ramification_subgroup_exponent(t)
+    prefix = [d.base_degree] * p ** depth
+    for o, c in zip(t.orbits, level_zero_divisor(d, t).coeffs):
+        # one numerator per prefix of the orbit's m digits, in index
+        # order: level n + 1 appends digit alpha as prefix * p + alpha
+        num = [c]
+        for n, jump in enumerate(o.jumps):
+            step = p ** n * jump
+            num = [x - alpha * step for x in num for alpha in range(p)]
+        q, reps = p ** o.depth, p ** (depth - o.depth)
+        prefix = [deg + num[k // reps] // q for k, deg in enumerate(prefix)]
+    reps = p ** (t.group.v - depth)
+    return [deg for deg in prefix for _ in range(reps)]
 
 
 def _report(degrees: list[int], mult: list[int], t: CoverTower,

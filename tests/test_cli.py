@@ -1,12 +1,16 @@
 import argparse
+import hashlib
+import io
 import json
 import re
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from galmod import cover_tower, cyclic_rep, decomposition
+from galmod import checks, cli, cover_tower, cyclic_rep, decomposition
 from galmod.checks import check_case, generate_corpus
 from galmod.cli import build_parser, main
 
@@ -270,8 +274,46 @@ ORDER_3125_DOC = {
 }
 
 
-def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
-    calls = {"pushforward_alpha": 0, "cartan_inverse": 0, "orbit": 0}
+README_DOC = json.loads(
+    re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1))
+
+# sha256 of the stdout of `galmod decompose FILE --method M --format json`,
+# pinned before the degree table moved from the pushforward chain to the
+# digit-sum formula: an engine change must leave these bytes alone.
+# Regenerate from the repository root with
+#   PYTHONPATH=src:tests python -c "import test_cli as t; print({k: t.decompose_json_sha256(*k) for k in t.GOLDEN_SHA256})"
+GOLDEN_SHA256 = {
+    ("order3125", "all"):
+        "660671a784caaf6a3690a9bb063eff8d81cb95d24a07336adcef229ed71f9704",
+    ("order3125", "closed"):
+        "6c0bba5caca951786795bf64956e810378a5534e1400dc4d4a772884fee527b3",
+    ("readme", "all"):
+        "dc450cc2d186739405caf8630f9cd65e98be437106ab50b9c3b77a9d2044ba90",
+}
+
+
+def decompose_json_sha256(doc: str, method: str) -> str:
+    docs = {"order3125": ORDER_3125_DOC, "readme": README_DOC}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{doc}.json"
+        path.write_text(json.dumps(docs[doc]))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["decompose", str(path), "--method", method,
+                         "--format", "json"]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("doc,method", sorted(GOLDEN_SHA256))
+def test_decompose_json_matches_pinned_digest(doc, method):
+    assert decompose_json_sha256(doc, method) == GOLDEN_SHA256[doc, method]
+
+
+def count_calls(monkeypatch, names,
+                owners=(cover_tower, decomposition, cyclic_rep, checks, cli)):
+    """Count calls to each named function, through every owner (module or
+    class) that holds a reference to it; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -279,24 +321,45 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module in (cover_tower, decomposition, cyclic_rep):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
+    for owner in owners:
+        for name in names:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name,
+                                    counting(name, getattr(owner, name)))
+    return calls
+
+
+def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, ("pushforward_alpha", "cartan_inverse"))
     # the pushforward chain reads coefficients in tower order, so only the
     # id-keyed input is ever looked up by orbit id
-    monkeypatch.setattr(cover_tower.CoverTower, "orbit",
-                        counting("orbit", cover_tower.CoverTower.orbit))
+    orbit = count_calls(monkeypatch, ("orbit",),
+                        owners=(cover_tower.CoverTower,))
     path = tmp_path / "order3125.json"
     path.write_text(json.dumps(ORDER_3125_DOC))
     code, out, _ = run(capsys, "decompose", str(path), "--method", "all",
                        "--format", "json")
     assert code == 0
     assert len(json.loads(out)["multiplicities"]) == 3125
-    assert 0 < calls["pushforward_alpha"] <= 2 * sum(5 ** n for n in range(1, 6))
+    # only Recursive walks the chain: one step per (level, index) pair
+    assert 0 < calls["pushforward_alpha"] <= sum(5 ** n for n in range(1, 6))
     assert calls["cartan_inverse"] == 0
-    assert calls["orbit"] <= 20
+    assert orbit["orbit"] <= 20
+
+
+def test_decompose_closed_walks_no_chain(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, ("pushforward_alpha",
+                                      "graded_piece_divisor",
+                                      "level_zero_divisor", "LevelDivisor"))
+    path = tmp_path / "order3125.json"
+    path.write_text(json.dumps(ORDER_3125_DOC))
+    code, out, _ = run(capsys, "decompose", str(path), "--method", "closed",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["multiplicities"]) == 3125
+    assert calls["pushforward_alpha"] == calls["graded_piece_divisor"] == 0
+    # the only divisors built are the input viewed on X itself
+    assert calls["LevelDivisor"] == calls["level_zero_divisor"] > 0
 
 
 def test_decompose_method_choices_match_readme():
@@ -331,8 +394,8 @@ def test_cross_check_fires_on_a_wrong_degree_table(z4_file, capsys,
 
 
 def reversed_breaks(d, t, alpha):
-    """`pushforward_alpha` reading the breaks outermost-first: a wrong chain
-    that ClosedForm and Recursive both walk."""
+    """`pushforward_alpha` reading the breaks outermost-first: a wrong chain.
+    Recursive walks it; the engine's digit-sum table does not."""
     n = d.level + 1
     coeffs = tuple((c - alpha * o.jumps[o.depth - n]) // t.group.p
                    if o.depth >= n else c
@@ -340,22 +403,39 @@ def reversed_breaks(d, t, alpha):
     return cover_tower.LevelDivisor(n, d.base_degree, coeffs)
 
 
-def test_fixed_points_catch_a_chain_both_routes_share(z4_file, capsys,
-                                                      monkeypatch):
-    case = next(c for c in generate_corpus(1, 200)
-                if any(o.depth >= 2 for o in c[0].orbits))
+@pytest.fixture
+def wrong_chain(monkeypatch):
     monkeypatch.setattr(cover_tower, "pushforward_alpha", reversed_breaks)
     monkeypatch.setattr(decomposition, "pushforward_alpha", reversed_breaks)
+
+
+def test_a_wrong_chain_fails_the_cross_check_and_fixed_points(
+        z4_file, capsys, wrong_chain):
+    case = next(c for c in generate_corpus(1, 200)
+                if any(o.depth >= 2 for o in c[0].orbits))
     failures = check_case(case)
-    assert not any("disagrees" in msg for msg in failures)
-    # level 1 is strictly between the dimension and the Kani identities
+    assert any("disagrees" in msg for msg in failures)
+    # level 1 is strictly between the dimension and the Kani identities;
+    # the identities name the route that walked the wrong chain
     assert any(msg.startswith("fixed points of the order-p^1 subgroup")
-               for msg in failures)
+               and msg.endswith("(Recursive)") for msg in failures)
+    assert not any("(ClosedForm" in msg for msg in failures)
     code, out, err = run(capsys, "decompose", z4_file, "--method", "all")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: fixed points of the order-p^")
+    assert "method divergence" in err
+    assert "fixed points of the order-p^" in err
+    assert "(ClosedForm" not in err
     assert '"orbit_coeffs": {"P": 6}' in err
+
+
+def test_a_wrong_chain_diverges_on_every_deep_corpus_case(wrong_chain):
+    deep = [(t, d) for t, d in generate_corpus(1, 3000)
+            if any(o.depth >= 2 for o in t.orbits)]
+    assert len(deep) == 251
+    for t, d in deep:
+        assert (decomposition.decompose_closed_form(d, t).mult_list
+                != decomposition.decompose_recursive(d, t).mult_list)
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from galmod import decomposition
 from galmod.cover_tower import (
@@ -69,6 +70,35 @@ def test_degree_table_matches_level_degrees_at_large_orders(p, v):
     d = InvariantDivisor.from_dict(3, {"A": 40, "B": -17, "C": 123})
     table = degree_table(d, t)
     assert table == [level_degrees(d, t, j) for j in range(1, p ** v + 1)]
+
+
+@given(st.sampled_from([(2, 0), (2, 3), (2, 6), (3, 2), (3, 4), (5, 1),
+                        (5, 3)]), st.data())
+def test_degree_table_matches_level_degrees_off_the_realizable_locus(pv, data):
+    # breaks divisible by p, decreasing breaks and negative coefficients are
+    # all accepted without --strict, so the formula must match the chain there
+    p, v = pv
+    depths = data.draw(st.lists(st.integers(1, v), max_size=3)) if v else []
+    orbits = tuple(
+        RamifiedOrbit(f"P{k}", m, tuple(data.draw(
+            st.lists(st.integers(1, 200), min_size=m, max_size=m))))
+        for k, m in enumerate(depths))
+    t = CoverTower(GroupSpec(p, v), 0, orbits)
+    d = InvariantDivisor.from_dict(
+        data.draw(st.integers(-20, 20)),
+        {o.id: data.draw(st.integers(-500, 500)) for o in orbits})
+    assert degree_table(d, t) == [level_degrees(d, t, j)
+                                  for j in range(1, p ** v + 1)]
+
+
+def test_noether_block_structure_on_corpus():
+    # deg_j depends on the top D digits of j - 1 only, D the largest orbit
+    # depth; Recursive's Cartan solve reaches the same zeros on its own
+    for t, d in generate_corpus(1, 3000):
+        step = t.group.p ** (t.group.v - ramification_subgroup_exponent(t))
+        for method in (decompose_closed_form, decompose_recursive):
+            mult = method(d, t).mult_list
+            assert all(m == 0 for j, m in enumerate(mult, 1) if j % step)
 
 
 def test_closed_form_v1_fixture():
