@@ -1,5 +1,12 @@
-"""Seeded random corpus of strict-valid towers and the cross-method
-invariant checks run over it.
+"""Seeded random corpus of strict-valid towers and the checks run over it.
+
+`check_case` runs five checks per case: the production routes agree, their
+multiplicities satisfy the fixed-point identities, the multiplicities are
+nonnegative, the degrees non-increasing, and a free tower gives a
+multiple of the regular module.  Each catches a mutant in
+tests/mutants.py or tests a consequence of realizability; identities that
+hold by construction of the code (pullback stability, the Kani
+pushforward) are asserted in tests/test_acceptance.py instead.
 
 All randomness flows from one explicit seed through `random.Random`; the
 same seed always yields the same corpus and the same summary, so check
@@ -18,10 +25,8 @@ from .cover_tower import (
     InvariantDivisor,
     RamifiedOrbit,
     divisor_degree,
-    kani_pushforward,
     level_zero_divisor,
     orbit_point_count,
-    pushforward_alpha,
     validate_strict,
 )
 from .cyclic_rep import GroupSpec
@@ -29,8 +34,6 @@ from .decomposition import (
     ALL_METHODS,
     PRODUCTION_METHODS,
     DecompositionReport,
-    decompose_pullback,
-    graded_piece_divisor,
 )
 from .errors import GalmodError
 
@@ -134,6 +137,17 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
     return failures, skipped
 
 
+def method_divergences(reports: dict[str, DecompositionReport]) -> list[str]:
+    """Each route whose multiplicities or degrees differ from those of the
+    first route."""
+    first_name, first = next(iter(reports.items()))
+    return [f"method divergence: {name} produced {list(rep.mult_list)}, "
+            f"{first_name} produced {list(first.mult_list)}"
+            for name, rep in reports.items()
+            if rep.mult_list != first.mult_list
+            or rep.degrees != first.degrees]
+
+
 def route_fixed_point_failures(d: InvariantDivisor, t: CoverTower,
                                reports: dict[str, DecompositionReport]
                                ) -> list[str]:
@@ -149,21 +163,18 @@ def route_fixed_point_failures(d: InvariantDivisor, t: CoverTower,
 
 
 def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
-    """All cross-method and structural invariants on one (tower, divisor)
-    pair; returns the list of violated invariants (empty = pass)."""
+    """The five checks on one (tower, divisor) pair; returns the violated
+    ones (empty = pass).  The production routes must agree and satisfy the
+    fixed-point identities; the engine's multiplicities must be
+    nonnegative and its degrees non-increasing; a free tower must give a
+    multiple of the regular module.  Pullback stability and the Kani
+    identities are asserted in tests/test_acceptance.py."""
     tower, d = case
     g = tower.group
-    failures = []
-
     reports = {name: ALL_METHODS[name](d, tower)
                for name in PRODUCTION_METHODS}
     base = reports[PRODUCTION_METHODS[0]]
-
-    for name, rep in reports.items():
-        if rep.mult_list != base.mult_list:
-            failures.append(
-                f"method {name} disagrees: {rep.mult_list} vs {base.mult_list}")
-
+    failures = method_divergences(reports)
     failures += route_fixed_point_failures(d, tower, reports)
 
     if any(m < 0 for m in base.mult_list):
@@ -172,26 +183,6 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
     if any(base.degrees[j] < base.degrees[j + 1]
            for j in range(g.order - 1)):
         failures.append(f"degrees not non-increasing: {base.degrees}")
-
-    kani = kani_pushforward(d, tower)
-    composite = level_zero_divisor(d, tower)
-    for _ in range(g.v):
-        composite = pushforward_alpha(composite, tower, 0)
-    if kani != composite:
-        failures.append("kani pushforward != alpha=0 composite")
-    gr1 = graded_piece_divisor(d, tower, 1)
-    if divisor_degree(kani, tower) != divisor_degree(gr1, tower):
-        failures.append("kani degree != j=1 graded-piece degree")
-
-    # pullback stability against the regular representation
-    g_x = tower.genus(0)
-    b = max(0, (2 * g_x - 2) // g.order + 1)
-    lo = decompose_pullback(b, tower)
-    hi = decompose_pullback(b + 2, tower)
-    diff = [h - l for h, l in zip(hi.mult_list, lo.mult_list)]
-    expected = [0] * (g.order - 1) + [2]
-    if diff != expected:
-        failures.append(f"pullback stability: difference {diff}")
 
     if not tower.orbits:
         expected_mult = [0] * (g.order - 1) + [1 - tower.base_genus + d.base_degree]

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .as_oracle import ASCurve, jordan_type, to_tower
-from .checks import route_fixed_point_failures, run_suite
+from .checks import method_divergences, route_fixed_point_failures, run_suite
 from .cover_tower import (
     CoverTower,
     InvariantDivisor,
@@ -167,11 +167,7 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     verdict = validate_for_run(tower, strict)
     reports = {name: ALL_METHODS[name](d, tower) for name in methods}
     first = reports[methods[0]]
-    problems = [f"method divergence: {name} produced {list(rep.mult_list)}, "
-                f"{methods[0]} produced {list(first.mult_list)}"
-                for name, rep in reports.items()
-                if rep.mult_list != first.mult_list
-                or rep.degrees != first.degrees]
+    problems = method_divergences(reports)
     # the fixed-point identities hold on towers that can exist, and need
     # not on break data that fails the realizability conditions
     if len(methods) > 1 and validate_strict(tower).ok:

@@ -138,12 +138,7 @@ def test_cartan_duality():
 
 
 def _min_pullback_degree(tower):
-    g = tower.group
-    g_x = tower.genus(0)
-    b = (2 * g_x - 2) // g.order + 1
-    while b * g.order <= 2 * g_x - 2:
-        b += 1
-    return b
+    return (2 * tower.genus(0) - 2) // tower.group.order + 1
 
 
 def test_pullback_theorem(corpus):

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from galmod import checks, cli, cover_tower, cyclic_rep, decomposition
+from galmod import cyclic_rep, decomposition
 from galmod.checks import check_case, generate_corpus
 from galmod.cli import build_parser, main
+from mutants import count_calls, wrong_chain  # noqa: F401  (a fixture)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -309,32 +310,11 @@ def test_decompose_json_matches_pinned_digest(doc, method):
     assert decompose_json_sha256(doc, method) == GOLDEN_SHA256[doc, method]
 
 
-def count_calls(monkeypatch, names,
-                owners=(cover_tower, decomposition, cyclic_rep, checks, cli)):
-    """Count calls to each named function, through every owner (module or
-    class) that holds a reference to it; returns the live counts."""
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for owner in owners:
-        for name in names:
-            if hasattr(owner, name):
-                monkeypatch.setattr(owner, name,
-                                    counting(name, getattr(owner, name)))
-    return calls
-
-
 def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, ("pushforward_alpha", "cartan_inverse"))
     # the pushforward chain reads coefficients in tower order, so only the
     # id-keyed input is ever looked up by orbit id
-    orbit = count_calls(monkeypatch, ("orbit",),
-                        owners=(cover_tower.CoverTower,))
+    orbit = count_calls(monkeypatch, ("orbit",))
     path = tmp_path / "order3125.json"
     path.write_text(json.dumps(ORDER_3125_DOC))
     code, out, _ = run(capsys, "decompose", str(path), "--method", "all",
@@ -390,23 +370,7 @@ def test_cross_check_fires_on_a_wrong_degree_table(z4_file, capsys,
     assert code == 1
     assert out == ""
     assert "method divergence" in err
-    assert any("disagrees" in msg for msg in check_case(case))
-
-
-def reversed_breaks(d, t, alpha):
-    """`pushforward_alpha` reading the breaks outermost-first: a wrong chain.
-    Recursive walks it; the engine's digit-sum table does not."""
-    n = d.level + 1
-    coeffs = tuple((c - alpha * o.jumps[o.depth - n]) // t.group.p
-                   if o.depth >= n else c
-                   for o, c in zip(t.orbits, d.coeffs))
-    return cover_tower.LevelDivisor(n, d.base_degree, coeffs)
-
-
-@pytest.fixture
-def wrong_chain(monkeypatch):
-    monkeypatch.setattr(cover_tower, "pushforward_alpha", reversed_breaks)
-    monkeypatch.setattr(decomposition, "pushforward_alpha", reversed_breaks)
+    assert any("method divergence" in msg for msg in check_case(case))
 
 
 def test_a_wrong_chain_fails_the_cross_check_and_fixed_points(
@@ -414,7 +378,7 @@ def test_a_wrong_chain_fails_the_cross_check_and_fixed_points(
     case = next(c for c in generate_corpus(1, 200)
                 if any(o.depth >= 2 for o in c[0].orbits))
     failures = check_case(case)
-    assert any("disagrees" in msg for msg in failures)
+    assert any("method divergence" in msg for msg in failures)
     # level 1 is strictly between the dimension and the Kani identities;
     # the identities name the route that walked the wrong chain
     assert any(msg.startswith("fixed points of the order-p^1 subgroup")
