@@ -169,8 +169,9 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     first = reports[methods[0]]
     problems = method_divergences(reports)
     # the fixed-point identities hold on towers that can exist, and need
-    # not on break data that fails the realizability conditions
-    if len(methods) > 1 and validate_strict(tower).ok:
+    # not on break data that fails the realizability conditions; with
+    # `strict` set, `validate_for_run` has checked them and raised on failure
+    if len(methods) > 1 and (strict or validate_strict(tower).ok):
         problems += route_fixed_point_failures(d, tower, reports)
     if problems:
         raise GalmodError(

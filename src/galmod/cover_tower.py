@@ -147,10 +147,17 @@ def orbit_point_count(o: RamifiedOrbit, n: int, g: GroupSpec) -> int:
     return g.p ** (g.v - max(o.depth, n))
 
 
+def _require_coeff_count(d: LevelDivisor, t: CoverTower) -> None:
+    if len(d.coeffs) != len(t.orbits):
+        raise ValueError(f"{len(d.coeffs)} coefficients for "
+                         f"{len(t.orbits)} orbits")
+
+
 def divisor_degree(d: LevelDivisor, t: CoverTower) -> int:
+    _require_coeff_count(d, t)
     g = t.group
     deg = d.base_degree * g.p ** (g.v - d.level)
-    for o, c in zip(t.orbits, d.coeffs, strict=True):
+    for o, c in zip(t.orbits, d.coeffs):
         deg += c * orbit_point_count(o, d.level, g)
     return deg
 
@@ -169,8 +176,9 @@ def pushforward_alpha(d: LevelDivisor, t: CoverTower, alpha: int) -> LevelDiviso
         raise ValidationError("already at the bottom of the tower")
     if not 0 <= alpha <= g.p - 1:
         raise ValidationError(f"alpha = {alpha} out of range 0..{g.p - 1}")
-    coeffs = tuple((c - alpha * o.jumps[n - 1]) // g.p if o.depth >= n else c
-                   for o, c in zip(t.orbits, d.coeffs, strict=True))
+    _require_coeff_count(d, t)
+    coeffs = tuple([(c - alpha * o.jumps[n - 1]) // g.p if o.depth >= n else c
+                    for o, c in zip(t.orbits, d.coeffs)])
     return LevelDivisor(n, d.base_degree, coeffs)
 
 

@@ -7,16 +7,18 @@ the base-p digits of j - 1, and m_j is a first difference of the degrees
 of that chain as one digit sum per orbit and takes no pushforward: it
 costs O(#orbits * p^D) arithmetic, D the largest orbit depth, plus the
 O(p^v) expansion of the dense table.  `level_degrees` walks the chain for
-one index and stays as the tests' reference for the table.
+one index (`graded_piece_divisor`) and stays as the tests' reference for
+the table.
 
 One independent cross-check runs beside it in production
-(`PRODUCTION_METHODS`): the recursive route descends the tower one degree-p
-cover at a time, building the graded-piece divisor of V_j from that of the
-restricted index, and converts the resulting Euler-characteristic vector
-with the inverse Cartan matrix.  It is the only production route that
-walks the pushforward chain, so its agreement with the engine sets the
-chain, the Cartan solve and the digit-sum formula against one another.
-It costs sum_n p^n pushforward steps, O(p^v).
+(`PRODUCTION_METHODS`): the recursive route walks the pushforward chain
+breadth-first, one level list at a time, level n holding the divisors of
+the p^n digit prefixes of j - 1 in index order.  It keeps no memo, takes
+sum_n p^n pushforward steps, O(p^v), and converts the resulting
+Euler-characteristic vector with the inverse Cartan matrix.  It is the
+only production route that walks the chain, so its agreement with the
+engine sets the chain, the Cartan solve and the digit-sum formula
+against one another.
 
 Two reference formulas stay for the tests: second differences of the
 partial sums of the degrees, and the Euler-characteristic vector of the
@@ -94,15 +96,8 @@ def _require_large_degree(d: InvariantDivisor, t: CoverTower) -> int:
 
 
 def level_degrees(d: InvariantDivisor, t: CoverTower, j: int) -> int:
-    """Degree on Y of the iterated twisted pushforward attached to index j:
-    the level-n cover uses digit alpha_{v-n}(j), most significant digit
-    innermost."""
-    g = t.group
-    alphas = digits(j, g)
-    cur = level_zero_divisor(d, t)
-    for n in range(1, g.v + 1):
-        cur = pushforward_alpha(cur, t, alphas[g.v - n])
-    return divisor_degree(cur, t)
+    """Degree on Y of the iterated twisted pushforward attached to index j."""
+    return divisor_degree(graded_piece_divisor(d, t, j), t)
 
 
 def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
@@ -176,41 +171,32 @@ def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> Decomposi
     return _report(degs, mult, t, METHOD_SECOND_DIFF)
 
 
-def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int, *,
-                         memo: dict | None = None) -> LevelDivisor:
-    """Divisor on Y of the j-th graded piece, by recursive descent: split
-    j = (l-1)p + j', handle V_l on the subtower down to level v - 1, then
-    apply the degree-p break-correction step with exponent j' - 1.
-
-    `memo` maps (level, index) to the divisors already descended through;
-    pass one dict to every call for the same (d, t) to share them.
-    """
+def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int) -> LevelDivisor:
+    """Divisor on Y of the j-th graded piece: the level-n cover twists by
+    the digit alpha_{v-n} of j - 1, most significant digit innermost."""
     g = t.group
-    if memo is None:
-        memo = {}
-
-    def rec(n: int, idx: int) -> LevelDivisor:
-        hit = memo.get((n, idx))
-        if hit is None:
-            if n == 0:
-                hit = level_zero_divisor(d, t)
-            else:
-                l, jp = divmod(idx - 1, g.p)
-                hit = pushforward_alpha(rec(n - 1, l + 1), t, jp)
-            memo[n, idx] = hit
-        return hit
-
-    return rec(g.v, j)
+    alphas = digits(j, g)
+    cur = level_zero_divisor(d, t)
+    for n in range(1, g.v + 1):
+        cur = pushforward_alpha(cur, t, alphas[g.v - n])
+    return cur
 
 
 def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    """Multiplicities via the recursive graded-piece divisors and the
-    inverse Cartan matrix."""
+    """Multiplicities via the graded-piece divisors, walked breadth-first
+    down the tower, and the inverse Cartan matrix.
+
+    Level n lists the divisors of all p^n index prefixes, the child
+    prefix * p + alpha twisted by alpha at the level-n cover; level v is
+    then the graded-piece divisors of V_1..V_{p^v} in index order.
+    """
     _require_large_degree(d, t)
     g = t.group
-    memo: dict = {}
-    degs = [divisor_degree(graded_piece_divisor(d, t, j, memo=memo), t)
-            for j in range(1, g.order + 1)]
+    level = [level_zero_divisor(d, t)]
+    for _ in range(g.v):
+        level = [pushforward_alpha(par, t, alpha)
+                 for par in level for alpha in range(g.p)]
+    degs = [divisor_degree(div, t) for div in level]
     std = from_simple_basis(euler_from_degrees(degs, t), g)
     return _report(degs, list(std.coords), t, METHOD_RECURSIVE)
 

@@ -311,7 +311,9 @@ def test_decompose_json_matches_pinned_digest(doc, method):
 
 
 def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, ("pushforward_alpha", "cartan_inverse"))
+    calls = count_calls(monkeypatch, ("pushforward_alpha", "cartan_inverse",
+                                      "graded_piece_divisor",
+                                      "divisor_degree"))
     # the pushforward chain reads coefficients in tower order, so only the
     # id-keyed input is ever looked up by orbit id
     orbit = count_calls(monkeypatch, ("orbit",))
@@ -321,10 +323,26 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert len(json.loads(out)["multiplicities"]) == 3125
-    # only Recursive walks the chain: one step per (level, index) pair
-    assert 0 < calls["pushforward_alpha"] <= sum(5 ** n for n in range(1, 6))
+    # only Recursive walks the chain, breadth-first: one step per (level,
+    # index prefix) pair and one degree per last-level divisor; the other
+    # three degrees are the input's, for the degree bound of each route and
+    # for the report
+    assert calls["pushforward_alpha"] == sum(5 ** n for n in range(1, 6))
+    assert calls["graded_piece_divisor"] == 0
+    assert calls["divisor_degree"] == 5 ** 5 + 3
     assert calls["cartan_inverse"] == 0
     assert orbit["orbit"] <= 20
+
+
+@pytest.mark.parametrize("flag", [[], ["--strict"]])
+def test_decompose_all_validates_strictly_once(flag, z4_file, capsys,
+                                               monkeypatch):
+    # with --strict the verdict of validate_for_run also gates the
+    # fixed-point identities; without it the gate computes its own
+    calls = count_calls(monkeypatch, ("validate_strict",))
+    code, _, _ = run(capsys, "decompose", z4_file, "--method", "all", *flag)
+    assert code == 0
+    assert calls["validate_strict"] == 1
 
 
 def test_decompose_closed_walks_no_chain(tmp_path, capsys, monkeypatch):

@@ -61,15 +61,44 @@ def test_degree_table_matches_level_degrees_on_corpus():
                                       for j in range(1, t.group.order + 1)]
 
 
-@pytest.mark.parametrize("p,v", [(5, 5), (2, 11), (3, 7)])
-def test_degree_table_matches_level_degrees_at_large_orders(p, v):
+# the largest orders of the 5^k, 2^k and 3^k families under the order cap
+LARGE_ORDERS = [(5, 5), (2, 11), (3, 7)]
+
+
+def large_order_case(p, v, base_degree=3):
     t = CoverTower(GroupSpec(p, v), 1, (
         RamifiedOrbit("A", 1, (7,)),
         RamifiedOrbit("B", v, tuple(range(2 * v + 1, 1, -2))),
         RamifiedOrbit("C", (v + 1) // 2, (11,) * ((v + 1) // 2))))
-    d = InvariantDivisor.from_dict(3, {"A": 40, "B": -17, "C": 123})
+    d = InvariantDivisor.from_dict(base_degree,
+                                   {"A": 40, "B": -17, "C": 123})
+    return t, d
+
+
+@pytest.mark.parametrize("p,v", LARGE_ORDERS)
+def test_degree_table_matches_level_degrees_at_large_orders(p, v):
+    t, d = large_order_case(p, v)
     table = degree_table(d, t)
     assert table == [level_degrees(d, t, j) for j in range(1, p ** v + 1)]
+
+
+def test_recursive_walk_matches_per_index_chain_on_corpus():
+    # the breadth-first levels list index prefix * p + alpha, most
+    # significant digit innermost, as the per-index chain of level_degrees
+    # reads the digits of j - 1
+    deep = [(t, d) for t, d in generate_corpus(1, 3000) if t.group.v >= 2]
+    assert deep
+    for t, d in deep:
+        chain = [level_degrees(d, t, j) for j in range(1, t.group.order + 1)]
+        assert list(decompose_recursive(d, t).degrees) == chain
+
+
+@pytest.mark.parametrize("p,v", LARGE_ORDERS)
+def test_recursive_walk_matches_per_index_chain_at_large_orders(p, v):
+    # base degree 20 clears deg D > 2g_X - 2 at all three orders
+    t, d = large_order_case(p, v, base_degree=20)
+    chain = [level_degrees(d, t, j) for j in range(1, p ** v + 1)]
+    assert list(decompose_recursive(d, t).degrees) == chain
 
 
 @given(st.sampled_from([(2, 0), (2, 3), (2, 6), (3, 2), (3, 4), (5, 1),
