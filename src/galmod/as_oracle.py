@@ -6,7 +6,8 @@ y -> y + 1 generates the Galois group over the x-line.  The section
 space of n * P_inf has the monomial basis {x^i y^j : pi + mj <= n,
 j < p}, on which the action is exact linear algebra over F_p.  The
 Jordan type of the generator follows from the ranks of the powers of
-sigma - 1, found by applying sigma - 1 to a basis of the previous image,
+sigma - 1, found by applying sigma - 1, stored as its nonzero entries
+column by column, to a basis of the previous image and echelonizing,
 with no dependence on the tower machinery it cross-checks.
 """
 
@@ -93,19 +94,28 @@ def jordan_type_of_matrix(mat: list[list[int]], p: int) -> Decomposition:
     r_k = dim im N^k of N = M - I: the size-s multiplicity is
     r_{s-1} - 2 r_s + r_{s+1}.
 
-    N is held as the nonzero entries of each row.  A basis of im N^k is N
-    applied to a basis of im N^(k-1), echelonized, so no power of N is
-    formed: step k costs r_{k-1} * nnz(N) + r_{k-1}^2 * dim operations.
+    N is held as the nonzero (i, N_ij) of each column j.  A basis of
+    im N^k is N applied to a basis of im N^(k-1), echelonized, so no power
+    of N is formed.  Step k costs r_{k-1}^2 * dim to echelonize, plus, for
+    each of the r_{k-1} vectors v, dim + nnz(columns where v is nonzero).
     """
     size = len(mat)
-    nil = [[(j, (x - (i == j)) % p) for j, x in enumerate(row)
-            if (x - (i == j)) % p] for i, row in enumerate(mat)]
+    if any(len(row) != size for row in mat):
+        raise ValidationError("matrix is not square")
+    cols = [[(i, y) for i, row in enumerate(mat)
+             if (y := (row[j] - (i == j)) % p)] for j in range(size)]
     image = [[int(i == j) for j in range(size)] for i in range(size)]
     ranks = [size]
     while ranks[-1] > 0:
-        image = _echelon_mod_p(
-            [[sum(x * vec[j] for j, x in row) % p for row in nil]
-             for vec in image], p)
+        applied = []
+        for vec in image:
+            out = [0] * size
+            for j, v in enumerate(vec):
+                if v:
+                    for i, x in cols[j]:
+                        out[i] += x * v
+            applied.append([y % p for y in out])
+        image = _echelon_mod_p(applied, p)
         if len(image) == ranks[-1]:
             raise ValidationError("matrix is not unipotent")
         ranks.append(len(image))

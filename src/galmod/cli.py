@@ -3,6 +3,12 @@
 JSON in, JSON (or a plain table rendering of the same report) out.  Exit
 codes: 0 success, 1 property/equivalence failure, 2 parse or usage
 error, 3 validation error, 4 degree precondition violated.
+
+Flags that size the work are bounded: `--m-max`, `--n-max` and `--cases`
+must be >= 0, and `oracle --n-max` is at most MAX_ORACLE_N = 100, where
+the sweep for the slowest prime, p = 2, takes about 5 s on a 2-CPU
+host.  The oracle stops at the first curve whose genus leaves no n <=
+n_max above 2g - 2, so a large `--m-max` costs no more than n_max does.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ EXIT_PROPERTY = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_DEGREE = 4
+
+MAX_ORACLE_N = 100
 
 METHOD_FLAGS = {
     "closed": METHOD_CLOSED,
@@ -275,6 +283,8 @@ def cmd_oracle(args) -> int:
         if m % args.p == 0:
             continue
         curve = ASCurve(args.p, m)
+        if 2 * curve.genus - 1 > args.n_max:
+            break  # the genus grows with m: no later curve has a case
         tower, divisor = to_tower(curve)
         for n in range(2 * curve.genus - 1, args.n_max + 1):
             if n < 0:
@@ -302,6 +312,18 @@ def cmd_check(args) -> int:
         for msg in msgs:
             print(f"case {idx}: {msg}")
     return EXIT_OK if result.ok else EXIT_PROPERTY
+
+
+def _count(cap: int | None = None):
+    """argparse type: an integer >= 0, and <= cap unless cap is None."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"{n} must be >= 0")
+        if cap is not None and n > cap:
+            raise argparse.ArgumentTypeError(f"{n} must be <= {cap}")
+        return n
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ora = sub.add_parser("oracle", help="Artin-Schreier brute-force sweep")
     p_ora.add_argument("--p", type=int, required=True)
-    p_ora.add_argument("--m-max", type=int, default=9)
-    p_ora.add_argument("--n-max", type=int, default=30)
+    p_ora.add_argument("--m-max", type=_count(), default=9)
+    p_ora.add_argument("--n-max", type=_count(MAX_ORACLE_N), default=30)
     p_ora.set_defaults(func=cmd_oracle)
 
     p_chk = sub.add_parser("check", help="seeded random property suite")
     p_chk.add_argument("--seed", type=int, default=1)
-    p_chk.add_argument("--cases", type=int, default=1000)
+    p_chk.add_argument("--cases", type=_count(), default=1000)
     p_chk.set_defaults(func=cmd_check)
 
     return parser

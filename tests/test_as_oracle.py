@@ -1,3 +1,4 @@
+import operator
 import random
 from collections import Counter
 
@@ -47,12 +48,13 @@ def dense_rank_sequence(mat, p):
     size = len(mat)
     nil = [[(mat[i][j] - (i == j)) % p for j in range(size)]
            for i in range(size)]
+    nil_cols = list(zip(*nil))
     ranks = [size]
     power = nil
     while ranks[-1] > 0:
         ranks.append(dense_rank(power, p))
-        power = [[sum(power[i][k] * nil[k][j] for k in range(size)) % p
-                  for j in range(size)] for i in range(size)]
+        power = [[sum(map(operator.mul, row, col)) % p for col in nil_cols]
+                 for row in power]
     return ranks
 
 
@@ -237,3 +239,43 @@ def test_jordan_type_of_matrix_single_block():
     # is a single Jordan block of size 3
     j3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     assert jordan_type_of_matrix(j3, 2) == Decomposition.from_dict({3: 1})
+
+
+@pytest.mark.parametrize("mat", [[[1, 0], [0]],
+                                 [[1, 0], [0, 1], [0, 0]],
+                                 [[1, 1, 0], [0, 1, 1]]])
+def test_jordan_type_of_matrix_rejects_non_square(mat):
+    with pytest.raises(ValidationError, match="not square"):
+        jordan_type_of_matrix(mat, 2)
+
+
+def test_jordan_type_of_matrix_degenerate_sizes():
+    assert jordan_type_of_matrix([], 3) == Decomposition.from_dict({})
+    assert jordan_type_of_matrix([[1]], 3) == Decomposition.from_dict({1: 1})
+
+
+# Sizes beyond the tests above, each checked against the dense reference.
+
+
+@pytest.mark.parametrize("p,mat,blocks", [
+    (2, [[int(i == j) for j in range(40)] for i in range(40)], {1: 40}),
+    # one block far larger than p: sixty image steps before the image is 0
+    (5, [[int(j in (i, i + 1)) for j in range(60)] for i in range(60)],
+     {60: 1}),
+], ids=["identity-40", "block-60"])
+def test_jordan_type_of_matrix_large_known_types(p, mat, blocks):
+    expected = Decomposition.from_dict(blocks)
+    assert jordan_type_of_matrix(mat, p) == expected
+    assert dense_jordan_type(mat, p) == expected
+
+
+@pytest.mark.parametrize("p,size", [(2, 50), (3, 65), (5, 80)])
+def test_jordan_type_of_matrix_large_conjugates(p, size):
+    rng = random.Random(size)
+    blocks = []
+    while sum(blocks) < size:
+        blocks.append(min(rng.randint(1, 9), size - sum(blocks)))
+    mat = conjugated_unipotent(blocks, p, rng)
+    expected = Decomposition.from_dict(dict(Counter(blocks)))
+    assert jordan_type_of_matrix(mat, p) == expected, blocks
+    assert dense_jordan_type(mat, p) == expected, blocks

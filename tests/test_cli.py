@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from galmod import cyclic_rep, decomposition
+from galmod import cli, cyclic_rep, decomposition
 from galmod.checks import check_case, generate_corpus
 from galmod.cli import build_parser, main
 from mutants import count_calls, wrong_chain  # noqa: F401  (a fixture)
@@ -213,6 +213,46 @@ def test_oracle_single_case(capsys):
 def test_oracle_rejects_nonprime(capsys):
     code, _, err = run(capsys, "oracle", "--p", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--p", "2", "--m-max", "-1"),
+    ("oracle", "--p", "2", "--n-max", "-4"),
+    ("oracle", "--p", "2", "--n-max", str(cli.MAX_ORACLE_N + 1)),
+    ("check", "--cases", "-5"),
+])
+def test_work_flags_out_of_range_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: galmod ")
+    assert "Traceback" not in captured.err
+
+
+def test_oracle_stops_at_the_first_curve_without_cases(capsys, monkeypatch):
+    curves = []
+    real = cli.ASCurve
+
+    def counting(p, m):
+        curves.append(m)
+        return real(p, m)
+
+    monkeypatch.setattr(cli, "ASCurve", counting)
+    code, out, _ = run(capsys, "oracle", "--p", "2", "--m-max", "3000000",
+                       "--n-max", "10")
+    assert code == 0
+    assert json.loads(out)["cases"] == 41
+    # 2g - 1 = m - 2 for p = 2: m = 13 is the first curve past n_max = 10
+    assert curves == [1, 3, 5, 7, 9, 11, 13]
+
+
+def test_oracle_accepts_the_n_max_cap(capsys):
+    code, out, _ = run(capsys, "oracle", "--p", "5", "--m-max", "1",
+                       "--n-max", str(cli.MAX_ORACLE_N))
+    assert code == 0
+    assert json.loads(out)["cases"] == cli.MAX_ORACLE_N + 1
 
 
 def test_check_small_and_deterministic(capsys):
