@@ -6,8 +6,6 @@ from .cyclic_rep import (
     Decomposition,
     GroupSpec,
     K0Vector,
-    cartan_inverse,
-    cartan_matrix,
     digits,
     from_simple_basis,
     is_relatively_projective,
@@ -19,7 +17,6 @@ from .cover_tower import (
     LevelDivisor,
     RamifiedOrbit,
     divisor_degree,
-    kani_pushforward,
     level_zero_divisor,
     orbit_point_count,
     pushforward_alpha,
@@ -28,11 +25,8 @@ from .cover_tower import (
 from .decomposition import (
     DecompositionReport,
     decompose_closed_form,
-    decompose_pullback,
     decompose_recursive,
     euler_characteristic,
-    graded_piece_divisor,
-    level_degrees,
     noether_check,
     ramification_subgroup_exponent,
 )

@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .cover_tower import (
     CoverTower,
     InvariantDivisor,
     RamifiedOrbit,
-    divisor_degree,
-    level_zero_divisor,
     orbit_point_count,
     validate_strict,
 )
@@ -34,6 +31,7 @@ from .decomposition import (
     ALL_METHODS,
     PRODUCTION_METHODS,
     DecompositionReport,
+    lift_above_vanishing,
 )
 from .errors import GalmodError
 
@@ -65,7 +63,6 @@ def random_case(rng: random.Random) -> tuple[CoverTower, InvariantDivisor]:
     while True:
         p = rng.choice([2, 3, 5])
         v = rng.randint(0, 3)
-        g = GroupSpec(p, v)
         n_orbits = rng.randint(0, 3) if v >= 1 else 0
         orbits = []
         for k in range(n_orbits):
@@ -77,21 +74,16 @@ def random_case(rng: random.Random) -> tuple[CoverTower, InvariantDivisor]:
         if n_orbits and len(orbits) != n_orbits:
             continue
         base_genus = rng.randint(0, 2)
-        tower = CoverTower(g, base_genus, tuple(orbits))
+        tower = CoverTower(GroupSpec(p, v), base_genus, tuple(orbits))
         try:
-            g_x = tower.genus(0)
+            tower.genus(0)
         except GalmodError:
             continue
         if not validate_strict(tower).ok:
             continue
         coeffs = {o.id: rng.randint(-MAX_COEFF, MAX_COEFF) for o in orbits}
-        base_degree = rng.randint(-5, 10)
-        d = InvariantDivisor.from_dict(base_degree, coeffs)
-        deg = divisor_degree(level_zero_divisor(d, tower), tower)
-        if deg <= 2 * g_x - 2:
-            bump = (2 * g_x - 2 - deg) // g.order + 1
-            d = InvariantDivisor.from_dict(base_degree + bump, coeffs)
-        return tower, d
+        d = InvariantDivisor.from_dict(rng.randint(-5, 10), coeffs)
+        return tower, lift_above_vanishing(d, tower)
 
 
 def generate_corpus(seed: int, cases: int) -> list[tuple[CoverTower, InvariantDivisor]]:
@@ -193,18 +185,3 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
 
     return failures
 
-
-@dataclass(frozen=True)
-class SuiteResult:
-    cases: int
-    failures: tuple[tuple[int, tuple[str, ...]], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def run_suite(seed: int, cases: int) -> SuiteResult:
-    results = [check_case(c) for c in generate_corpus(seed, cases)]
-    failures = tuple((i, tuple(f)) for i, f in enumerate(results) if f)
-    return SuiteResult(cases, failures)

@@ -2,7 +2,9 @@
 
 JSON in, JSON (or a plain table rendering of the same report) out.  Exit
 codes: 0 success, 1 property/equivalence failure, 2 parse or usage
-error, 3 validation error, 4 degree precondition violated.
+error, 3 validation error, 4 degree precondition violated.  A stdout
+closed by its reader (`galmod oracle ... | head`) ends the run with
+exit 1 and no traceback.
 
 Flags that size the work are bounded: `--m-max`, `--n-max` and `--cases`
 must be >= 0, and `oracle --n-max` is at most MAX_ORACLE_N = 100, where
@@ -15,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .as_oracle import ASCurve, jordan_type, to_tower
-from .checks import method_divergences, route_fixed_point_failures, run_suite
+from .checks import (check_case, generate_corpus, method_divergences,
+                     route_fixed_point_failures)
 from .cover_tower import (
     CoverTower,
     InvariantDivisor,
@@ -45,6 +49,10 @@ EXIT_PROPERTY = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_DEGREE = 4
+
+# First match wins: NonIntegralGenus and NegativeGenus are ValidationErrors
+EXIT_CODES = ((ParseError, EXIT_PARSE), (DegreeTooSmall, EXIT_DEGREE),
+              (ValidationError, EXIT_VALIDATION), (GalmodError, EXIT_PROPERTY))
 
 MAX_ORACLE_N = 100
 
@@ -305,13 +313,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    result = run_suite(args.seed, args.cases)
-    print(f"check seed={args.seed} cases={result.cases} "
-          f"failures={len(result.failures)}")
-    for idx, msgs in result.failures:
+    results = [check_case(c) for c in generate_corpus(args.seed, args.cases)]
+    failures = [(i, msgs) for i, msgs in enumerate(results) if msgs]
+    print(f"check seed={args.seed} cases={args.cases} "
+          f"failures={len(failures)}")
+    for idx, msgs in failures:
         for msg in msgs:
             print(f"case {idx}: {msg}")
-    return EXIT_OK if result.ok else EXIT_PROPERTY
+    return EXIT_PROPERTY if failures else EXIT_OK
 
 
 def _count(cap: int | None = None):
@@ -373,18 +382,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegreeTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGREE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
     except GalmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PROPERTY
 
 

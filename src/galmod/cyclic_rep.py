@@ -88,18 +88,12 @@ class Decomposition:
     def from_dict(cls, d: dict[int, int]) -> "Decomposition":
         return cls(tuple(d.items()))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mult)
-
-    def multiplicity(self, j: int) -> int:
-        return dict(self.mult).get(j, 0)
-
     def total_dim(self) -> int:
         return sum(j * m for j, m in self.mult)
 
     def dense(self, order: int) -> list[int]:
         """Multiplicities as a dense list indexed 1..order."""
-        d = self.as_dict()
+        d = dict(self.mult)
         return [d.get(j, 0) for j in range(1, order + 1)]
 
 

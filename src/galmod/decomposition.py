@@ -70,9 +70,10 @@ class DecompositionReport:
 
     degrees: tuple[int, ...]
     mult_list: tuple[int, ...]
-    dim_h0: int
-    genus_top: int
-    method: str
+
+    @property
+    def dim_h0(self) -> int:
+        return sum(j * m for j, m in enumerate(self.mult_list, start=1))
 
     @property
     def realizable(self) -> bool:
@@ -86,13 +87,23 @@ class DecompositionReport:
             {j + 1: m for j, m in enumerate(self.mult_list)})
 
 
-def _require_large_degree(d: InvariantDivisor, t: CoverTower) -> int:
+def _require_large_degree(d: InvariantDivisor, t: CoverTower) -> None:
     g_x = t.genus(0)
     deg = divisor_degree(level_zero_divisor(d, t), t)
     if deg <= 2 * g_x - 2:
         raise DegreeTooSmall(
             f"deg D = {deg} <= 2g_X - 2 = {2 * g_x - 2}")
-    return g_x
+
+
+def lift_above_vanishing(d: InvariantDivisor, t: CoverTower) -> InvariantDivisor:
+    """d with its base degree raised by the least amount that puts
+    deg D above 2g_X - 2; d itself when it is above already."""
+    g_x = t.genus(0)
+    deg = divisor_degree(level_zero_divisor(d, t), t)
+    if deg > 2 * g_x - 2:
+        return d
+    bump = (2 * g_x - 2 - deg) // t.group.order + 1
+    return InvariantDivisor(d.base_degree + bump, d.orbit_coeffs)
 
 
 def level_degrees(d: InvariantDivisor, t: CoverTower, j: int) -> int:
@@ -128,13 +139,6 @@ def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
     return [deg for deg in prefix for _ in range(reps)]
 
 
-def _report(degrees: list[int], mult: list[int], t: CoverTower,
-            method: str) -> DecompositionReport:
-    dim = sum((j + 1) * m for j, m in enumerate(mult))
-    return DecompositionReport(tuple(degrees), tuple(mult), dim,
-                               t.genus(0), method)
-
-
 def euler_from_degrees(degrees: Sequence[int], t: CoverTower) -> K0Vector:
     """Simple-basis vector of running sums sum_{i<=j} (deg_i + 1 - g_Y)."""
     coords = []
@@ -152,7 +156,7 @@ def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionRe
     n = t.group.order
     mult = [degs[j] - degs[j + 1] for j in range(n - 1)]
     mult.append(1 - t.base_genus + degs[n - 1])
-    return _report(degs, mult, t, METHOD_CLOSED)
+    return DecompositionReport(tuple(degs), tuple(mult))
 
 
 def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
@@ -168,7 +172,7 @@ def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> Decomposi
         mult = [2 * a[1] - a[2]]
         mult += [-a[j - 1] + 2 * a[j] - a[j + 1] for j in range(2, n)]
         mult.append(a[n] - a[n - 1])
-    return _report(degs, mult, t, METHOD_SECOND_DIFF)
+    return DecompositionReport(tuple(degs), tuple(mult))
 
 
 def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int) -> LevelDivisor:
@@ -198,7 +202,7 @@ def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionRepo
                  for par in level for alpha in range(g.p)]
     degs = [divisor_degree(div, t) for div in level]
     std = from_simple_basis(euler_from_degrees(degs, t), g)
-    return _report(degs, list(std.coords), t, METHOD_RECURSIVE)
+    return DecompositionReport(tuple(degs), std.coords)
 
 
 def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:
@@ -215,7 +219,7 @@ def decompose_simple_basis(d: InvariantDivisor, t: CoverTower) -> DecompositionR
     _require_large_degree(d, t)
     degs = degree_table(d, t)
     std = from_simple_basis(euler_from_degrees(degs, t), t.group)
-    return _report(degs, list(std.coords), t, METHOD_SIMPLE_BASIS)
+    return DecompositionReport(tuple(degs), std.coords)
 
 
 ALL_METHODS = {
@@ -270,12 +274,8 @@ def _sample_divisors(t: CoverTower, seed: int) -> list[InvariantDivisor]:
         cmax = 3 * max(max(o.jumps) for o in t.orbits)
         for _ in range(10):
             coeffs = {o.id: rng.randint(0, cmax) for o in t.orbits}
-            d = InvariantDivisor.from_dict(b0, coeffs)
-            deg = divisor_degree(level_zero_divisor(d, t), t)
-            if deg <= 2 * g_x - 2:
-                d = InvariantDivisor.from_dict(
-                    b0 + (2 * g_x - 2 - deg) // g.order + 1, coeffs)
-            divisors.append(d)
+            divisors.append(
+                lift_above_vanishing(InvariantDivisor.from_dict(b0, coeffs), t))
     return divisors
 
 

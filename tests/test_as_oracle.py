@@ -217,7 +217,7 @@ def test_to_tower_examples():
     assert tower.genus(0) == 1 and tower.genus(1) == 0
     assert tower.orbits[0].jumps == (3,)
     d = divisor(4)
-    assert d.coeff("P_inf") == 4 and d.base_degree == 0
+    assert d.orbit_coeffs == (("P_inf", 4),) and d.base_degree == 0
     assert to_tower(ASCurve(3, 2))[0].genus(0) == 1
     assert to_tower(ASCurve(2, 1))[0].genus(0) == 0
 

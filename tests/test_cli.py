@@ -2,16 +2,19 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import re
+import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galmod import cli, cyclic_rep, decomposition
-from galmod.checks import check_case, generate_corpus
+from galmod.checks import check_case, generate_corpus, random_case
 from galmod.cli import build_parser, main
 from mutants import count_calls, wrong_chain  # noqa: F401  (a fixture)
 
@@ -166,6 +169,19 @@ def test_strict_validation_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "decompose", str(path))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["genus", "decompose"])
+def test_negative_genus_exit_3(command, tmp_path, capsys):
+    # NegativeGenus is a ValidationError, and must not fall through to the
+    # GalmodError exit code: a free Z/5^5 tower over a rational curve
+    doc = dict(FREE_DOC, group={"p": 5, "v": 5}, base_genus=0)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3
+    assert out == ""
+    assert "level 4: genus -4 < 0" in err
 
 
 def test_degree_too_small_exit_4(tmp_path, capsys):
@@ -478,3 +494,64 @@ def test_unrenderable_integers_exit_2(argv, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # about 125 kB of output, more than a pipe buffer holds: the write
+    # fails once the reader has gone
+    cmd = [sys.executable, "-m", "galmod.cli", "oracle", "--p", "2",
+           "--m-max", "30", "--n-max", "60"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err, err.decode()
+
+
+_FUZZ_COMMANDS = [
+    ["decompose"], ["decompose", "--strict"], ["decompose", "--method", "closed"],
+    ["decompose", "--format", "table"], ["genus"], ["euler"],
+    ["noether", "--w", "0"], ["noether", "--w", "1"],
+]
+# negative, zero, composite and above the caps, depending on the field
+_OUT_OF_RANGE = st.integers(-3, 40) | st.sampled_from([3137, 10 ** 6])
+_ILL_TYPED = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _paths(node, path=()):
+    """Every path to a value nested in dicts and lists, the root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _documents(draw):
+    """A strict-valid corpus document with up to two values overwritten."""
+    tower, d = random_case(random.Random(draw(st.integers(0, 2 ** 32))))
+    doc = cli.echo_input(tower, d, {"strict_validation": draw(st.booleans())})
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, key = draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[key] = draw(_OUT_OF_RANGE if draw(st.booleans()) else _ILL_TYPED)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents(), st.sampled_from(_FUZZ_COMMANDS))
+def test_documents_get_a_documented_exit_code(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 2, 3, 4)

@@ -143,7 +143,6 @@ def test_closed_form_z4_fixture():
     assert rep.degrees == (1, 1, 0, 0)
     assert rep.mult_list == (0, 1, 0, 1)
     assert rep.dim_h0 == 6
-    assert rep.genus_top == 1
 
 
 def test_closed_form_p3_fixture():
