@@ -21,7 +21,7 @@ import os
 import sys
 
 from .as_oracle import ASCurve, jordan_type, to_tower
-from .checks import (check_case, generate_corpus, method_divergences,
+from .checks import (check_case, iter_corpus, method_divergences,
                      route_fixed_point_failures)
 from .cover_tower import (
     CoverTower,
@@ -208,6 +208,22 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     }
 
 
+def render_json(obj: dict) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` for a dict with str keys,
+    where json's indenting encoder writes each list item from Python: a list
+    of ints (bools excluded) is joined in one call, any other value is json's
+    text indented one level (a JSON string holds no raw newline)."""
+    items = []
+    for key in sorted(obj):
+        val = obj[key]
+        if type(val) is list and val and all(type(x) is int for x in val):
+            text = "[\n    " + ",\n    ".join(map(str, val)) + "\n  ]"
+        else:
+            text = json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
 def render_table(report: dict) -> str:
     lines = []
     inp = report["input"]
@@ -232,7 +248,7 @@ def cmd_decompose(args) -> int:
         methods = [METHOD_FLAGS[args.method]]
     report = build_report(tower, d, options, methods, strict)
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(render_json(report))
     else:
         print(render_table(report))
     return EXIT_OK
@@ -241,17 +257,16 @@ def cmd_decompose(args) -> int:
 def cmd_genus(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
     genera = [tower.genus(n) for n in range(tower.group.v + 1)]
-    print(json.dumps({"input": echo_input(tower, d, options),
-                      "genus_per_level": genera}, indent=2, sort_keys=True))
+    print(render_json({"input": echo_input(tower, d, options),
+                       "genus_per_level": genera}))
     return EXIT_OK
 
 
 def cmd_euler(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
     euler = euler_characteristic(d, tower)
-    print(json.dumps({"input": echo_input(tower, d, options),
-                      "euler_simple_basis": list(euler.coords)},
-                     indent=2, sort_keys=True))
+    print(render_json({"input": echo_input(tower, d, options),
+                       "euler_simple_basis": list(euler.coords)}))
     return EXIT_OK
 
 
@@ -276,7 +291,7 @@ def cmd_noether(args) -> int:
             "j": rep.witness.j,
             "m_j": rep.witness.m_j,
         }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(render_json(out))
     if rep.containment != rep.all_projective:
         return EXIT_PROPERTY
     return EXIT_OK
@@ -307,14 +322,15 @@ def cmd_oracle(args) -> int:
                 "engine": engine.dense(args.p) if engine else None,
                 "pass": match,
             })
-    print(json.dumps({"cases": len(results), "all_pass": ok,
-                      "results": results}, indent=2, sort_keys=True))
+    print(render_json({"cases": len(results), "all_pass": ok,
+                       "results": results}))
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
 def cmd_check(args) -> int:
-    results = [check_case(c) for c in generate_corpus(args.seed, args.cases)]
-    failures = [(i, msgs) for i, msgs in enumerate(results) if msgs]
+    failures = [(i, msgs) for i, case in
+                enumerate(iter_corpus(args.seed, args.cases))
+                if (msgs := check_case(case))]
     print(f"check seed={args.seed} cases={args.cases} "
           f"failures={len(failures)}")
     for idx, msgs in failures:
@@ -348,41 +364,43 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["all", *METHOD_FLAGS.keys()])
     p_dec.add_argument("--format", default="table", choices=["table", "json"])
     p_dec.add_argument("--strict", action="store_true")
-    p_dec.set_defaults(func=cmd_decompose)
 
-    p_gen = sub.add_parser("genus", help="genus at every tower level")
-    p_gen.add_argument("input")
-    p_gen.set_defaults(func=cmd_genus)
-
-    p_eul = sub.add_parser("euler", help="Euler characteristic in the simple basis")
-    p_eul.add_argument("input")
-    p_eul.set_defaults(func=cmd_euler)
+    for name, text in (("genus", "genus at every tower level"),
+                       ("euler", "Euler characteristic in the simple basis")):
+        sub.add_parser(name, help=text).add_argument("input")
 
     p_noe = sub.add_parser("noether", help="relative projectivity criterion")
     p_noe.add_argument("input")
     p_noe.add_argument("--w", type=int, required=True)
     p_noe.add_argument("--seed", type=int, default=0)
-    p_noe.set_defaults(func=cmd_noether)
 
     p_ora = sub.add_parser("oracle", help="Artin-Schreier brute-force sweep")
     p_ora.add_argument("--p", type=int, required=True)
     p_ora.add_argument("--m-max", type=_count(), default=9)
     p_ora.add_argument("--n-max", type=_count(MAX_ORACLE_N), default=30)
-    p_ora.set_defaults(func=cmd_oracle)
 
     p_chk = sub.add_parser("check", help="seeded random property suite")
     p_chk.add_argument("--seed", type=int, default=1)
     p_chk.add_argument("--cases", type=_count(), default=1000)
-    p_chk.set_defaults(func=cmd_check)
 
     return parser
 
 
+COMMANDS = {"decompose": cmd_decompose, "genus": cmd_genus, "euler": cmd_euler,
+            "noether": cmd_noether, "oracle": cmd_oracle, "check": cmd_check}
+
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built at the first call, not at import; COMMANDS is read at each call,
+    # so that a command replaced there (by a test or a tracer) is what runs
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
     except GalmodError as exc:

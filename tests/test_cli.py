@@ -1,7 +1,10 @@
 import argparse
+import gc
 import hashlib
 import io
+import itertools
 import json
+import os
 import random
 import re
 import subprocess
@@ -11,11 +14,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from galmod import cli, cyclic_rep, decomposition
 from galmod.checks import check_case, generate_corpus, random_case
 from galmod.cli import build_parser, main
+from galmod.cover_tower import CoverTower
 from mutants import count_calls, wrong_chain  # noqa: F401  (a fixture)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -349,21 +353,126 @@ GOLDEN_SHA256 = {
 }
 
 
-def decompose_json_sha256(doc: str, method: str) -> str:
+def stdout_sha256(doc: str | None, command: str, *flags: str) -> str:
+    """sha256 of the stdout of `galmod COMMAND [FILE] FLAGS...`, FILE
+    holding the named document (none when `doc` is None)."""
     docs = {"order3125": ORDER_3125_DOC, "readme": README_DOC}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{doc}.json"
-        path.write_text(json.dumps(docs[doc]))
+        argv = [command, *flags]
+        if doc is not None:
+            path = Path(tmp) / f"{doc}.json"
+            path.write_text(json.dumps(docs[doc]))
+            argv.insert(1, str(path))
         out = io.StringIO()
         with redirect_stdout(out):
-            assert main(["decompose", str(path), "--method", method,
-                         "--format", "json"]) == 0
+            assert main(argv) == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def decompose_json_sha256(doc: str, method: str) -> str:
+    return stdout_sha256(doc, "decompose", "--method", method,
+                         "--format", "json")
 
 
 @pytest.mark.parametrize("doc,method", sorted(GOLDEN_SHA256))
 def test_decompose_json_matches_pinned_digest(doc, method):
     assert decompose_json_sha256(doc, method) == GOLDEN_SHA256[doc, method]
+
+
+# sha256 of the stdout of the other JSON commands, pinned while they still
+# printed through json.dumps(indent=2, sort_keys=True), before render_json.
+# Regenerate from the repository root with
+#   PYTHONPATH=src:tests python -c "import test_cli as t; print({k: t.stdout_sha256(*k) for k in t.COMMAND_SHA256})"
+COMMAND_SHA256 = {
+    ("readme", "genus"):
+        "c8f2001cbdf4da76f8dbb2ae581e70e6b2e021f8df655ab4704c66d5256963c9",
+    ("readme", "euler"):
+        "0a5be6de41e5d1e151a1b948055f1c2d3873203bbe70e8fd087b39b3dd3cd244",
+    ("readme", "noether", "--w", "1"):
+        "75623ba0c91f9eb9463cbb686d0b1c32883dffe306045b363db283d05b9b4021",
+    ("order3125", "euler"):
+        "460688f3b02ec20c436eb68c92ac66ecf112ef23ea160c5183240aafdf02b129",
+    (None, "oracle", "--p", "5", "--m-max", "9", "--n-max", "62"):
+        "aced6f32a2bde5ae055af63cbec32450f8333e8cced3e624859727039c1bdac6",
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_SHA256),
+                         ids=lambda argv: " ".join(filter(None, argv)))
+def test_json_commands_match_pinned_digest(argv):
+    assert stdout_sha256(*argv) == COMMAND_SHA256[argv]
+
+
+_SCALARS = st.one_of(st.integers(), st.integers(2 ** 64, 2 ** 200),
+                     st.booleans(), st.none(), st.text(max_size=8))
+_INT_LISTS = (st.lists(st.integers(-2 ** 70, 2 ** 70))
+              | st.lists(st.integers() | st.booleans(), min_size=1))
+_VALUES = st.recursive(
+    _SCALARS | _INT_LISTS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=8), _VALUES, max_size=6))
+@example({})
+@example({"a\n\"é": [True, 1], "b": [], "c": [-1, 2 ** 64], "d": "\u2028\t"})
+def test_render_json_matches_json_dumps(obj):
+    assert cli.render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_main_builds_the_parser_once_and_reads_commands_at_call_time(
+        monkeypatch):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real())
+    assert main(["check", "--cases", "0"]) == 0
+    ran = []
+    monkeypatch.setitem(cli.COMMANDS, "check",
+                        lambda args: ran.append(args.cases) or 7)
+    assert main(["check", "--cases", "3"]) == 7
+    assert builds == [1]
+    assert ran == [3]
+
+
+def test_check_holds_one_case_at_a_time(monkeypatch):
+    # Counted as live towers, not as a tracemalloc peak: that peak includes
+    # the blocks on the interpreter's tuple free lists (up to 2,000 per
+    # size), whose fill depends on what ran before; at 2,000 cases they
+    # can reach about 0.3 MB, next to about 1 MB for the whole corpus.
+    def live_towers() -> int:
+        return sum(type(o) is CoverTower for o in gc.get_objects())
+
+    real = cli.check_case
+    calls = itertools.count()
+    live = []
+
+    def counted(case):
+        if next(calls) % 100 == 0:
+            live.append(live_towers())
+        return real(case)
+
+    monkeypatch.setattr(cli, "check_case", counted)
+    gc.collect()
+    before = live_towers()
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", "--cases", "1000"]) == 0
+    assert len(live) == 10
+    assert max(live) <= before + 1
+
+
+def test_python_m_galmod_runs_from_a_checkout(tmp_path, capsys):
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_DOC))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "galmod", "genus", str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == run(capsys, "genus", str(path))[1:]
 
 
 def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
