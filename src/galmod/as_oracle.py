@@ -48,12 +48,8 @@ def riemann_roch_basis(c: ASCurve, n: int) -> list[tuple[int, int]]:
     """
     if n < 0:
         raise ValidationError(f"n = {n} must be >= 0")
-    basis = []
-    for j in range(c.p):
-        for i in range((n - c.m * j) // c.p + 1):
-            if c.p * i + c.m * j <= n:
-                basis.append((i, j))
-    return sorted(basis)
+    return sorted((i, j) for j in range(c.p)
+                  for i in range((n - c.m * j) // c.p + 1))
 
 
 def sigma_matrix(c: ASCurve, basis: list[tuple[int, int]]) -> list[list[int]]:

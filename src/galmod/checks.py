@@ -1,9 +1,10 @@
 """Seeded random corpus of strict-valid towers and the checks run over it.
 
-`check_case` runs five checks per case: the production routes agree, their
-multiplicities satisfy the fixed-point identities, the multiplicities are
-nonnegative, the degrees non-increasing, and a free tower gives a
-multiple of the regular module.  Each catches a mutant in
+`cross_check` is what `galmod decompose --method all` and `galmod check`
+share: the production routes agree and satisfy the fixed-point
+identities.  `check_case` adds three consequences of realizability:
+nonnegative multiplicities, non-increasing degrees, and a multiple of the
+regular module from a free tower.  Each check catches a mutant in
 tests/mutants.py or tests a consequence of realizability; identities that
 hold by construction of the code (pullback stability, the Kani
 pushforward) are asserted in tests/test_acceptance.py instead.
@@ -130,45 +131,43 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
     return failures, skipped
 
 
-def method_divergences(reports: dict[str, DecompositionReport]) -> list[str]:
-    """Each route whose multiplicities or degrees differ from those of the
-    first route."""
+def cross_check(d: InvariantDivisor, t: CoverTower,
+                methods: Sequence[str] = PRODUCTION_METHODS,
+                identities: bool = True
+                ) -> tuple[DecompositionReport, list[str]]:
+    """Run the routes named in `methods`, looked up in `ALL_METHODS` at each
+    call; returns the first route's report and the problems: each route
+    whose multiplicities or degrees differ from the first's, then the
+    `fixed_point_failures` of each distinct multiplicity list, naming the
+    routes that produced it, so that a divergence says which route is
+    wrong.  `identities` is true when more than one route runs on a
+    realizable tower: the identities need not hold on break data that no
+    tower has."""
+    reports = {name: ALL_METHODS[name](d, t) for name in methods}
     first_name, first = next(iter(reports.items()))
-    return [f"method divergence: {name} produced {list(rep.mult_list)}, "
-            f"{first_name} produced {list(first.mult_list)}"
-            for name, rep in reports.items()
-            if rep.mult_list != first.mult_list
-            or rep.degrees != first.degrees]
-
-
-def route_fixed_point_failures(d: InvariantDivisor, t: CoverTower,
-                               reports: dict[str, DecompositionReport]
-                               ) -> list[str]:
-    """`fixed_point_failures` of each distinct multiplicity list among the
-    reports, each message naming the routes that produced it: when two
-    routes diverge, this says which of them is wrong."""
-    routes: dict[tuple[int, ...], list[str]] = {}
-    for name, rep in reports.items():
-        routes.setdefault(rep.mult_list, []).append(name)
-    return [f"{msg} ({', '.join(names)})"
-            for mult, names in routes.items()
-            for msg in fixed_point_failures(d, t, mult)[0]]
+    problems = [f"method divergence: {name} produced {list(rep.mult_list)}, "
+                f"{first_name} produced {list(first.mult_list)}"
+                for name, rep in reports.items()
+                if rep.mult_list != first.mult_list
+                or rep.degrees != first.degrees]
+    if identities:
+        routes: dict[tuple[int, ...], list[str]] = {}
+        for name, rep in reports.items():
+            routes.setdefault(rep.mult_list, []).append(name)
+        problems += [f"{msg} ({', '.join(names)})"
+                     for mult, names in routes.items()
+                     for msg in fixed_point_failures(d, t, mult)[0]]
+    return first, problems
 
 
 def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
-    """The five checks on one (tower, divisor) pair; returns the violated
-    ones (empty = pass).  The production routes must agree and satisfy the
-    fixed-point identities; the engine's multiplicities must be
-    nonnegative and its degrees non-increasing; a free tower must give a
-    multiple of the regular module.  Pullback stability and the Kani
-    identities are asserted in tests/test_acceptance.py."""
+    """`cross_check` and three checks of realizability on one (tower,
+    divisor) pair; returns the violated ones (empty = pass).  The engine's
+    multiplicities must be nonnegative and its degrees non-increasing, and
+    a free tower must give a multiple of the regular module."""
     tower, d = case
     g = tower.group
-    reports = {name: ALL_METHODS[name](d, tower)
-               for name in PRODUCTION_METHODS}
-    base = reports[PRODUCTION_METHODS[0]]
-    failures = method_divergences(reports)
-    failures += route_fixed_point_failures(d, tower, reports)
+    base, failures = cross_check(d, tower)
 
     if any(m < 0 for m in base.mult_list):
         failures.append(f"negative multiplicity on strict-valid data: "

@@ -21,8 +21,7 @@ import os
 import sys
 
 from .as_oracle import ASCurve, jordan_type, to_tower
-from .checks import (check_case, iter_corpus, method_divergences,
-                     route_fixed_point_failures)
+from .checks import check_case, cross_check, iter_corpus
 from .cover_tower import (
     CoverTower,
     InvariantDivisor,
@@ -33,7 +32,6 @@ from .cover_tower import (
 )
 from .cyclic_rep import GroupSpec
 from .decomposition import (
-    ALL_METHODS,
     METHOD_CLOSED,
     METHOD_RECURSIVE,
     PRODUCTION_METHODS,
@@ -57,8 +55,9 @@ EXIT_CODES = ((ParseError, EXIT_PARSE), (DegreeTooSmall, EXIT_DEGREE),
 MAX_ORACLE_N = 100
 
 METHOD_FLAGS = {
-    "closed": METHOD_CLOSED,
-    "recursive": METHOD_RECURSIVE,
+    "all": PRODUCTION_METHODS,
+    "closed": (METHOD_CLOSED,),
+    "recursive": (METHOD_RECURSIVE,),
 }
 
 
@@ -179,16 +178,14 @@ def validate_for_run(tower: CoverTower, strict: bool) -> dict:
 
 
 def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
-                 methods: list[str], strict: bool) -> dict:
+                 methods: tuple[str, ...], strict: bool) -> dict:
+    """The `decompose` report of the first of `methods`, all of them run by
+    `cross_check`; with `strict` set, `validate_for_run` has checked that
+    the tower is realizable, and raised if not."""
     verdict = validate_for_run(tower, strict)
-    reports = {name: ALL_METHODS[name](d, tower) for name in methods}
-    first = reports[methods[0]]
-    problems = method_divergences(reports)
-    # the fixed-point identities hold on towers that can exist, and need
-    # not on break data that fails the realizability conditions; with
-    # `strict` set, `validate_for_run` has checked them and raised on failure
-    if len(methods) > 1 and (strict or validate_strict(tower).ok):
-        problems += route_fixed_point_failures(d, tower, reports)
+    first, problems = cross_check(
+        d, tower, methods,
+        identities=len(methods) > 1 and (strict or validate_strict(tower).ok))
     if problems:
         raise GalmodError(
             "; ".join(problems) + "; input: "
@@ -202,7 +199,7 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
         "multiplicities": list(first.mult_list),
         "dim_h0": first.dim_h0,
         "euler_simple_basis": list(euler.coords),
-        "methods": methods,
+        "methods": list(methods),
         "validation": verdict,
         "diagnostics": {"realizable": first.realizable},
     }
@@ -242,11 +239,7 @@ def render_table(report: dict) -> str:
 def cmd_decompose(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
     strict = args.strict or options.get("strict_validation", False)
-    if args.method == "all":
-        methods = list(PRODUCTION_METHODS)
-    else:
-        methods = [METHOD_FLAGS[args.method]]
-    report = build_report(tower, d, options, methods, strict)
+    report = build_report(tower, d, options, METHOD_FLAGS[args.method], strict)
     if args.format == "json":
         print(render_json(report))
     else:
@@ -361,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="decompose H^0 for a tower/divisor file")
     p_dec.add_argument("input")
     p_dec.add_argument("--method", default="all",
-                       choices=["all", *METHOD_FLAGS.keys()])
+                       choices=list(METHOD_FLAGS))
     p_dec.add_argument("--format", default="table", choices=["table", "json"])
     p_dec.add_argument("--strict", action="store_true")
 

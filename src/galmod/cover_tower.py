@@ -131,10 +131,10 @@ def level_zero_divisor(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:
     of ramified orbits.
     """
     coeffs = dict(d.orbit_coeffs)
-    for oid in coeffs:
-        t.orbit(oid)
-    return LevelDivisor(0, d.base_degree,
-                        tuple(coeffs.get(o.id, 0) for o in t.orbits))
+    level0 = tuple([coeffs.pop(o.id, 0) for o in t.orbits])
+    if coeffs:  # the ids left are not orbits of the tower
+        raise ValidationError(f"unknown orbit id {next(iter(coeffs))!r}")
+    return LevelDivisor(0, d.base_degree, level0)
 
 
 def orbit_point_count(o: RamifiedOrbit, n: int, g: GroupSpec) -> int:

@@ -230,7 +230,7 @@ ALL_METHODS = {
 }
 
 # The engine first, then the one route that builds its own pushforward
-# chain: the pair `galmod decompose --method all` and `check_case` compare.
+# chain: the pair that `checks.cross_check` compares by default.
 PRODUCTION_METHODS = (METHOD_CLOSED, METHOD_RECURSIVE)
 
 

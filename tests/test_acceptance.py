@@ -3,6 +3,7 @@ PASS/FAIL line.  Run with `pytest -s tests/test_acceptance.py` to see the
 per-criterion lines."""
 
 import hashlib
+import random
 import subprocess
 import sys
 import time
@@ -30,9 +31,11 @@ from galmod.cyclic_rep import (
 )
 from galmod.decomposition import (
     ALL_METHODS,
+    PRODUCTION_METHODS,
     decompose_closed_form,
     decompose_pullback,
     graded_piece_divisor,
+    lift_above_vanishing,
     noether_check,
 )
 
@@ -227,6 +230,42 @@ def test_noether_equivalence():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(f"noether equivalence ({towers} towers)", start)
+
+
+def _weakly_ramified_towers(rng):
+    """Strict-valid towers whose every orbit has depth 1 and break 1."""
+    while True:
+        orbits = tuple(RamifiedOrbit(f"P{k}", 1, (1,))
+                       for k in range(rng.randint(1, 3)))
+        tower = CoverTower(GroupSpec(rng.choice([2, 3, 5]), rng.randint(1, 3)),
+                           rng.randint(0, 2), orbits)
+        if validate_strict(tower).ok:
+            yield tower
+
+
+def test_weakly_ramified_is_free():
+    # Koeck (Amer. J. Math. 126, 2004): on a weakly ramified cover, a
+    # divisor whose coefficients are all -1 mod p has projective, here
+    # free, H^0.  The same towers with coefficients 0 mod p are the
+    # control: there no route may give a free module.
+    start = time.perf_counter()
+    rng = random.Random(4)
+    towers = _weakly_ramified_towers(rng)
+    drawn = set()
+    for _ in range(500):
+        tower = next(towers)
+        p = tower.group.p
+        drawn.add((p, tower.group.v))
+        base = rng.randint(-5, 10)
+        ks = {o.id: rng.randint(-10, 10) for o in tower.orbits}
+        for residue, free in ((-1, True), (0, False)):
+            d = lift_above_vanishing(InvariantDivisor.from_dict(
+                base, {oid: p * k + residue for oid, k in ks.items()}), tower)
+            for name in PRODUCTION_METHODS:
+                mult = ALL_METHODS[name](d, tower).mult_list
+                assert (not any(mult[:-1])) == free, (name, tower, d, mult)
+    assert len(drawn) == 9
+    report("weakly ramified is free (500 towers)", start)
 
 
 def test_kani_consistency(corpus):

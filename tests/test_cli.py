@@ -499,6 +499,24 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     assert orbit["orbit"] <= 20
 
 
+def test_decompose_all_looks_up_no_orbit_per_orbit(tmp_path, capsys,
+                                                  monkeypatch):
+    # the input's orbit ids are matched in one pass over the tower's
+    # orbits, not by one `CoverTower.orbit` scan each
+    orbit = count_calls(monkeypatch, ("orbit",))
+    ids = [f"P{k}" for k in range(1000)]
+    doc = dict(FREE_DOC, base_genus=0,
+               orbits=[{"id": oid, "depth": 1, "jumps": [1]} for oid in ids],
+               divisor={"base_degree": 0, "orbit_coeffs": dict.fromkeys(ids, 5)})
+    path = tmp_path / "orbits1000.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "decompose", str(path), "--method", "all",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["genus_per_level"] == [999, 0]
+    assert orbit["orbit"] <= 20
+
+
 @pytest.mark.parametrize("flag", [[], ["--strict"]])
 def test_decompose_all_validates_strictly_once(flag, z4_file, capsys,
                                                monkeypatch):
@@ -574,6 +592,20 @@ def test_a_wrong_chain_fails_the_cross_check_and_fixed_points(
     assert "fixed points of the order-p^" in err
     assert "(ClosedForm" not in err
     assert '"orbit_coeffs": {"P": 6}' in err
+
+
+def test_decompose_all_reports_what_check_case_reports(tmp_path, capsys,
+                                                       wrong_chain):
+    # both commands run one cross-check: same messages, in the same order
+    tower, d = case = next(c for c in generate_corpus(1, 200)
+                           if any(o.depth >= 2 for o in c[0].orbits))
+    failures = check_case(case)
+    assert len(failures) >= 2
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cli.echo_input(tower, d, {})))
+    code, out, err = run(capsys, "decompose", str(path), "--method", "all")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + "; ".join(failures) + "; input: ")
 
 
 def test_a_wrong_chain_diverges_on_every_deep_corpus_case(wrong_chain):
