@@ -30,7 +30,6 @@ from .cover_tower import (
 from .cyclic_rep import GroupSpec
 from .decomposition import (
     ALL_METHODS,
-    PRODUCTION_METHODS,
     DecompositionReport,
     lift_above_vanishing,
 )
@@ -132,7 +131,7 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
 
 
 def cross_check(d: InvariantDivisor, t: CoverTower,
-                methods: Sequence[str] = PRODUCTION_METHODS,
+                methods: Sequence[str] = tuple(ALL_METHODS),
                 identities: bool = True
                 ) -> tuple[DecompositionReport, list[str]]:
     """Run the routes named in `methods`, looked up in `ALL_METHODS` at each

@@ -32,9 +32,9 @@ from .cover_tower import (
 )
 from .cyclic_rep import GroupSpec
 from .decomposition import (
+    ALL_METHODS,
     METHOD_CLOSED,
     METHOD_RECURSIVE,
-    PRODUCTION_METHODS,
     decompose_closed_form,
     euler_characteristic,
     euler_from_degrees,
@@ -55,7 +55,7 @@ EXIT_CODES = ((ParseError, EXIT_PARSE), (DegreeTooSmall, EXIT_DEGREE),
 MAX_ORACLE_N = 100
 
 METHOD_FLAGS = {
-    "all": PRODUCTION_METHODS,
+    "all": tuple(ALL_METHODS),
     "closed": (METHOD_CLOSED,),
     "recursive": (METHOD_RECURSIVE,),
 }
@@ -119,11 +119,8 @@ def parse_document(doc: dict) -> tuple[CoverTower, InvariantDivisor, dict]:
 
     tower = CoverTower(GroupSpec(p, v), base_genus,
                        tuple(RamifiedOrbit(*o) for o in orbits))
-    known = {o.id for o in tower.orbits}
-    for oid in raw_coeffs:
-        if oid not in known:
-            raise ValidationError(f"divisor references unknown orbit {oid!r}")
     d = InvariantDivisor.from_dict(base_degree, dict(raw_coeffs))
+    level_zero_divisor(d, tower)  # raises on an unknown orbit id
     _require_renderable(tower, d)
     return tower, d, options
 
@@ -257,6 +254,7 @@ def cmd_genus(args) -> int:
 
 def cmd_euler(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
+    validate_for_run(tower, False)
     euler = euler_characteristic(d, tower)
     print(render_json({"input": echo_input(tower, d, options),
                        "euler_simple_basis": list(euler.coords)}))
@@ -302,9 +300,7 @@ def cmd_oracle(args) -> int:
         if 2 * curve.genus - 1 > args.n_max:
             break  # the genus grows with m: no later curve has a case
         tower, divisor = to_tower(curve)
-        for n in range(2 * curve.genus - 1, args.n_max + 1):
-            if n < 0:
-                continue
+        for n in range(max(2 * curve.genus - 1, 0), args.n_max + 1):
             oracle = jordan_type(curve, n)
             engine = decompose_closed_form(divisor(n), tower).decomposition
             match = engine is not None and engine == oracle

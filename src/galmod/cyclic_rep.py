@@ -2,11 +2,11 @@
 
 The group algebra k[Z/p^v] has exactly p^v indecomposable modules V_1,
 ..., V_{p^v}, V_j being a single Jordan block of dimension j for a fixed
-generator.  Everything here is integer bookkeeping on those blocks:
-Cartan matrices, the base change in the Grothendieck group from the
-simple-functor classes S_i to the standard classes [V_j], restriction to
-the subgroup of index p, and relative projectivity with respect to the
-(totally ordered) subgroup lattice.
+generator.  Everything here is integer bookkeeping on those blocks: the
+inverse Cartan matrix, the base change in the Grothendieck group from
+the simple-functor classes S_i to the standard classes [V_j],
+restriction to the subgroup of index p, and relative projectivity with
+respect to the (totally ordered) subgroup lattice.
 
 All functions are pure; all values are immutable.
 """
@@ -108,13 +108,6 @@ class K0Vector:
     def __post_init__(self):
         if self.basis not in ("simple", "standard"):
             raise ValidationError(f"unknown basis tag {self.basis!r}")
-
-
-def cartan_matrix(g: GroupSpec) -> list[list[int]]:
-    """Base change matrix from standard to simple classes; entry (i, j) is
-    dim Hom(V_i, V_j) = min(i, j) (1-indexed)."""
-    n = g.order
-    return [[min(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
 def cartan_inverse(g: GroupSpec) -> list[list[int]]:

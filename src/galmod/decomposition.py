@@ -10,20 +10,21 @@ O(p^v) expansion of the dense table.  `level_degrees` walks the chain for
 one index (`graded_piece_divisor`) and stays as the tests' reference for
 the table.
 
-One independent cross-check runs beside it in production
-(`PRODUCTION_METHODS`): the recursive route walks the pushforward chain
-breadth-first, one level list at a time, level n holding the divisors of
-the p^n digit prefixes of j - 1 in index order.  It keeps no memo, takes
-sum_n p^n pushforward steps, O(p^v), and converts the resulting
-Euler-characteristic vector with the inverse Cartan matrix.  It is the
-only production route that walks the chain, so its agreement with the
-engine sets the chain, the Cartan solve and the digit-sum formula
-against one another.
+One independent cross-check runs beside it in production, and the route
+table `ALL_METHODS` holds just these two, engine first.  The recursive
+route walks the pushforward chain breadth-first, one level list at a
+time, level n holding the divisors of the p^n digit prefixes of j - 1
+in index order.  It keeps no memo, takes sum_n p^n pushforward steps,
+O(p^v), and converts the resulting Euler-characteristic vector with the
+inverse Cartan matrix.  It is the only production route that walks the
+chain, so its agreement with the engine sets the chain, the Cartan
+solve and the digit-sum formula against one another.
 
-Two reference formulas stay for the tests: second differences of the
-partial sums of the degrees, and the Euler-characteristic vector of the
-table through the inverse Cartan matrix.  Both read the engine's table,
-so their agreement with it checks algebraic identities only.
+Two reference formulas stay for the tests and are not in the route
+table: second differences of the partial sums of the degrees, and the
+Euler-characteristic vector of the table through the inverse Cartan
+matrix.  Both read the engine's table, so their agreement with it checks
+algebraic identities only.
 
 Every route requires deg D > 2g_X - 2, which forces H^1 to vanish so that
 Euler characteristics compute actual section spaces.
@@ -54,9 +55,7 @@ from .cover_tower import (
 from .errors import DegreeTooSmall
 
 METHOD_CLOSED = "ClosedForm"
-METHOD_SECOND_DIFF = "SecondDifference"
 METHOD_RECURSIVE = "Recursive"
-METHOD_SIMPLE_BASIS = "SimpleBasis"
 
 
 @dataclass(frozen=True)
@@ -222,16 +221,12 @@ def decompose_simple_basis(d: InvariantDivisor, t: CoverTower) -> DecompositionR
     return DecompositionReport(tuple(degs), std.coords)
 
 
-ALL_METHODS = {
-    METHOD_CLOSED: decompose_closed_form,
-    METHOD_SECOND_DIFF: decompose_second_difference,
-    METHOD_RECURSIVE: decompose_recursive,
-    METHOD_SIMPLE_BASIS: decompose_simple_basis,
-}
-
 # The engine first, then the one route that builds its own pushforward
 # chain: the pair that `checks.cross_check` compares by default.
-PRODUCTION_METHODS = (METHOD_CLOSED, METHOD_RECURSIVE)
+ALL_METHODS = {
+    METHOD_CLOSED: decompose_closed_form,
+    METHOD_RECURSIVE: decompose_recursive,
+}
 
 
 def decompose_pullback(deg_m: int, t: CoverTower) -> DecompositionReport:

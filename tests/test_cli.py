@@ -175,7 +175,7 @@ def test_strict_validation_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("command", ["genus", "decompose"])
+@pytest.mark.parametrize("command", ["genus", "decompose", "euler"])
 def test_negative_genus_exit_3(command, tmp_path, capsys):
     # NegativeGenus is a ValidationError, and must not fall through to the
     # GalmodError exit code: a free Z/5^5 tower over a rational curve

@@ -10,13 +10,13 @@ from galmod.cyclic_rep import (
     GroupSpec,
     K0Vector,
     cartan_inverse,
-    cartan_matrix,
     digits,
     from_simple_basis,
     is_relatively_projective,
     restrict_step,
 )
 from galmod.errors import ValidationError
+from reference import cartan_matrix
 
 Z4 = GroupSpec(2, 2)
 Z3 = GroupSpec(3, 1)

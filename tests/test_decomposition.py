@@ -11,7 +11,7 @@ from galmod.cover_tower import (
     level_zero_divisor,
 )
 from galmod.checks import generate_corpus
-from galmod.cyclic_rep import Decomposition, GroupSpec, cartan_matrix
+from galmod.cyclic_rep import Decomposition, GroupSpec
 from galmod.decomposition import (
     ALL_METHODS,
     decompose_closed_form,
@@ -27,6 +27,7 @@ from galmod.decomposition import (
     ramification_subgroup_exponent,
 )
 from galmod.errors import DegreeTooSmall
+from reference import cartan_matrix
 
 
 def z4_tower():
@@ -223,7 +224,9 @@ def test_euler_defined_below_threshold():
 
 def test_method_agreement_on_fixture():
     t, d = z4_tower(), z4_divisor()
-    reports = [fn(d, t) for fn in ALL_METHODS.values()]
+    routes = [*ALL_METHODS.values(), decompose_second_difference,
+              decompose_simple_basis]
+    reports = [fn(d, t) for fn in routes]
     assert len({r.mult_list for r in reports}) == 1
 
 
