@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
+from functools import cache
 from itertools import accumulate
 
 from .cover_tower import (
@@ -57,6 +58,32 @@ def random_jumps(rng: random.Random, p: int, depth: int) -> tuple[int, ...] | No
     return tuple(reversed(lower))
 
 
+# The parts a corpus case is built from, each built once and shared by
+# every case that draws it.  Their keys range over the generator's finite
+# choices, so no table grows with the number of cases.
+_group = cache(GroupSpec)
+
+
+@cache
+def _free_tower(p: int, v: int, base_genus: int) -> CoverTower:
+    return CoverTower(_group(p, v), base_genus)
+
+
+@cache
+def _free_case(t: CoverTower, base_degree: int) -> tuple[CoverTower, InvariantDivisor]:
+    return t, InvariantDivisor(base_degree)
+
+
+@cache
+def _orbit(k: int, jumps: tuple[int, ...]) -> RamifiedOrbit:
+    return RamifiedOrbit(f"P{k}", len(jumps), jumps)
+
+
+@cache
+def _coeff(oid: str, c: int) -> tuple[str, int]:
+    return oid, c
+
+
 def random_case(rng: random.Random) -> tuple[CoverTower, InvariantDivisor]:
     """One strict-valid (tower, divisor) pair with deg D > 2g_X - 2."""
     while True:
@@ -69,16 +96,20 @@ def random_case(rng: random.Random) -> tuple[CoverTower, InvariantDivisor]:
             jumps = random_jumps(rng, p, depth)
             if jumps is None:
                 break
-            orbits.append(RamifiedOrbit(f"P{k}", depth, jumps))
+            orbits.append(_orbit(k, jumps))
         if n_orbits and len(orbits) != n_orbits:
             continue
         base_genus = rng.randint(0, 2)
-        tower = CoverTower(GroupSpec(p, v), base_genus, tuple(orbits))
+        tower = (CoverTower(_group(p, v), base_genus, tuple(orbits)) if orbits
+                 else _free_tower(p, v, base_genus))
         if not validate_strict(tower).ok:
             continue
-        coeffs = {o.id: rng.randint(-MAX_COEFF, MAX_COEFF) for o in orbits}
-        d = InvariantDivisor.from_dict(rng.randint(-5, 10), coeffs)
-        return tower, lift_above_vanishing(d, tower)
+        # the ids P0, P1, ... are in sorted order, which the divisor keeps
+        coeffs = tuple([_coeff(o.id, rng.randint(-MAX_COEFF, MAX_COEFF))
+                        for o in orbits])
+        d = lift_above_vanishing(InvariantDivisor(rng.randint(-5, 10), coeffs),
+                                 tower)
+        return (tower, d) if orbits else _free_case(tower, d.base_degree)
 
 
 def iter_corpus(seed: int, cases: int) -> Iterator[tuple[CoverTower, InvariantDivisor]]:

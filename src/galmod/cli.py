@@ -253,6 +253,9 @@ def cmd_genus(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    """Print `euler_characteristic` in the simple basis.  Any degree is
+    accepted; below the vanishing threshold the vector is an Euler
+    characteristic, not [H^0] - [H^1] (see `euler_characteristic`)."""
     tower, d, options = parse_document(load_document(args.input))
     validate_for_run(tower, False)
     euler = euler_characteristic(d, tower)

@@ -11,6 +11,15 @@ its level.  The input form `InvariantDivisor` keys coefficients by orbit
 id; a `LevelDivisor` holds them positionally, coeffs[k] on t.orbits[k],
 so the pushforward chain never looks an orbit up by id.
 
+Every value here is frozen, as `GroupSpec` is, so one object can stand in
+for all equal ones, and `InvariantDivisor` keeps coefficient pairs that
+are already sorted instead of copying them.  `checks.random_case` builds
+each group, orbit, orbit-free case and (orbit id, coefficient) pair once
+and shares it between corpus cases.  A corpus of tens of thousands of
+cases, which the benchmark holds in memory while it runs, then holds a
+few hundred such objects instead of one per case, in under a third of
+the memory.
+
 Conventions:
   * jumps[n-1] is the break of the level-n cover pi_n : X_{n-1} -> X_n
     at the orbit's image; level 1 (closest to X) carries the largest
@@ -22,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .cyclic_rep import GroupSpec
 from .errors import NegativeGenus, NonIntegralGenus, ValidationError
@@ -105,8 +115,11 @@ class InvariantDivisor:
     orbit_coeffs: tuple[tuple[str, int], ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "orbit_coeffs",
-                           tuple(sorted(dict(self.orbit_coeffs).items())))
+        # pairs already in normal form are kept, so that divisors can
+        # share them
+        pairs = sorted(dict(self.orbit_coeffs).items())
+        if type(self.orbit_coeffs) is not tuple or list(self.orbit_coeffs) != pairs:
+            object.__setattr__(self, "orbit_coeffs", tuple(pairs))
 
     @classmethod
     def from_dict(cls, base_degree: int, coeffs: dict[str, int]) -> "InvariantDivisor":
@@ -178,6 +191,45 @@ def pushforward_alpha(d: LevelDivisor, t: CoverTower, alpha: int) -> LevelDiviso
     coeffs = tuple([(c - alpha * o.jumps[n - 1]) // g.p if o.depth >= n else c
                     for o, c in zip(t.orbits, d.coeffs)])
     return LevelDivisor(n, d.base_degree, coeffs)
+
+
+def pushforward_columns(columns: list[list[int]], t: CoverTower,
+                        n: int) -> list[list[int]]:
+    """The twisted pushforward along pi_n for every index prefix at once.
+
+    columns[k] holds the coefficient on t.orbits[k] of the level-(n - 1)
+    divisors of all p^(n-1) index prefixes, in index order; the result
+    holds the level-n ones, the child prefix * p + alpha twisted by
+    alpha.  An orbit ramified in pi_n gets (c - alpha * N_n) // p, any
+    other keeps c in all p children.  The base part is untouched, so it
+    is not carried.  `pushforward_alpha` is the same step for one
+    divisor, written separately so that each can check the other.
+    """
+    g = t.group
+    if not 1 <= n <= g.v:
+        raise ValidationError(f"level {n} out of range 1..{g.v}")
+    if len(columns) != len(t.orbits):
+        raise ValueError(f"{len(columns)} columns for {len(t.orbits)} orbits")
+    p, alphas = g.p, range(g.p)
+    out = []
+    for o, col in zip(t.orbits, columns):
+        if o.depth >= n:
+            shifts = [alpha * o.jumps[n - 1] for alpha in alphas]
+            out.append([(c - s) // p for c in col for s in shifts])
+        else:
+            out.append([c for c in col for _ in alphas])
+    return out
+
+
+def column_degrees(base_degree: int, columns: list[list[int]],
+                   t: CoverTower) -> list[int]:
+    """Degrees on Y of the level-v divisors held as `pushforward_columns`
+    holds them: each orbit has one point on Y, so deg_j is the base
+    degree plus the j-th entry of every column."""
+    degs = [base_degree] * t.group.order
+    for col in columns:
+        degs = list(map(add, degs, col))
+    return degs
 
 
 def kani_pushforward(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:

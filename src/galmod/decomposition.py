@@ -12,13 +12,16 @@ the table.
 
 One independent cross-check runs beside it in production, and the route
 table `ALL_METHODS` holds just these two, engine first.  The recursive
-route walks the pushforward chain breadth-first, one level list at a
-time, level n holding the divisors of the p^n digit prefixes of j - 1
-in index order.  It keeps no memo, takes sum_n p^n pushforward steps,
-O(p^v), and converts the resulting Euler-characteristic vector with the
+route walks the pushforward chain level by level, by orbit columns: at
+level n one list per orbit holds its coefficient in the divisors of all
+p^n digit prefixes of j - 1, in index order, and one call of
+`pushforward_columns` per level takes each floor as the chain does.
+That is O(#orbits * p^v) list work and no per-index divisor.  The
+level-v degrees give an Euler-characteristic vector, converted with the
 inverse Cartan matrix.  It is the only production route that walks the
-chain, so its agreement with the engine sets the chain, the Cartan
-solve and the digit-sum formula against one another.
+chain, and it never collapses the floors into the engine's digit sum,
+so its agreement with the engine sets the chain, the Cartan solve and
+the digit-sum formula against one another.
 
 Two reference formulas stay for the tests and are not in the route
 table: second differences of the partial sums of the degrees, and the
@@ -35,6 +38,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cyclic_rep import (
     Decomposition,
@@ -47,10 +51,12 @@ from .cover_tower import (
     CoverTower,
     InvariantDivisor,
     LevelDivisor,
+    column_degrees,
     divisor_degree,
     level_zero_divisor,
     orbit_point_count,
     pushforward_alpha,
+    pushforward_columns,
 )
 from .errors import DegreeTooSmall
 
@@ -140,12 +146,8 @@ def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
 
 def euler_from_degrees(degrees: Sequence[int], t: CoverTower) -> K0Vector:
     """Simple-basis vector of running sums sum_{i<=j} (deg_i + 1 - g_Y)."""
-    coords = []
-    acc = 0
-    for deg in degrees:
-        acc += deg + 1 - t.base_genus
-        coords.append(acc)
-    return K0Vector("simple", tuple(coords))
+    shift = 1 - t.base_genus
+    return K0Vector("simple", tuple(accumulate([deg + shift for deg in degrees])))
 
 
 def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
@@ -186,29 +188,39 @@ def graded_piece_divisor(d: InvariantDivisor, t: CoverTower, j: int) -> LevelDiv
 
 
 def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
-    """Multiplicities via the graded-piece divisors, walked breadth-first
-    down the tower, and the inverse Cartan matrix.
+    """Multiplicities via the graded-piece divisors, walked down the tower
+    by orbit columns, and the inverse Cartan matrix.
 
-    Level n lists the divisors of all p^n index prefixes, the child
-    prefix * p + alpha twisted by alpha at the level-n cover; level v is
-    then the graded-piece divisors of V_1..V_{p^v} in index order.
+    At level n each orbit's column lists its coefficient in the divisors
+    of all p^n index prefixes, the child prefix * p + alpha twisted by
+    alpha at the level-n cover (`pushforward_columns`, one call per
+    level).  Every level takes its own floor, as the chain does, not the
+    engine's collapsed digit sum.  At level v the columns hold the
+    graded-piece divisors of V_1..V_{p^v} in index order, and deg_j is
+    the base degree plus the j-th entry of each column.  The walk costs
+    O(#orbits * p^v) list work.
     """
     _require_large_degree(d, t)
     g = t.group
-    level = [level_zero_divisor(d, t)]
-    for _ in range(g.v):
-        level = [pushforward_alpha(par, t, alpha)
-                 for par in level for alpha in range(g.p)]
-    degs = [divisor_degree(div, t) for div in level]
+    columns = [[c] for c in level_zero_divisor(d, t).coeffs]
+    for n in range(1, g.v + 1):
+        columns = pushforward_columns(columns, t, n)
+    degs = column_degrees(d.base_degree, columns, t)
     std = from_simple_basis(euler_from_degrees(degs, t), g)
     return DecompositionReport(tuple(degs), std.coords)
 
 
 def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:
     """Euler characteristic of the section sheaf in the simple basis:
-    coordinate j is sum_{i<=j} (deg_i + 1 - g_Y).  Defined for any degree;
-    below the vanishing threshold it is a genuine Euler characteristic,
-    not an H^0 dimension."""
+    coordinate j is sum_{i<=j} (deg_i + 1 - g_Y) = chi(Y, K_j), K_j the
+    kernel of (sigma - 1)^j on the pushforward of L(D) to Y.
+
+    Defined for any degree.  Above the vanishing threshold H^1(X, D) = 0
+    and it is the class of H^0(X, D).  Below it, it is not [H^0] - [H^1]
+    in general: chi(Y, K_j) depends on H^1(Y, K_j), which the modules
+    H^0(X, D) and H^1(X, D) do not determine.  The smallest case is
+    y^2 - y = x (so X = P^1) with D = -2 P_inf: H^0 = 0 and H^1 = V_1,
+    but the vector is V_1 - V_2 in the standard basis."""
     return euler_from_degrees(degree_table(d, t), t)
 
 

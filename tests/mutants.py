@@ -47,23 +47,25 @@ def count_calls(monkeypatch, names, owners=OWNERS):
     return calls
 
 
-def reversed_breaks(d, t, alpha):
-    """`pushforward_alpha` reading the breaks outermost-first: a wrong chain.
-    Recursive walks it; the engine's digit-sum table does not."""
-    n = d.level + 1
-    coeffs = tuple((c - alpha * o.jumps[o.depth - n]) // t.group.p
-                   if o.depth >= n else c
-                   for o, c in zip(t.orbits, d.coeffs))
-    return cover_tower.LevelDivisor(n, d.base_degree, coeffs)
+def _column_mutant(jump, push):
+    """A `pushforward_columns` mutant: an orbit ramified in pi_n gets
+    push(c, alpha * jump(orbit, n), p) in place of the true floor."""
+    def pushforward_columns(columns, t, n):
+        p = t.group.p
+        return [[push(c, alpha * jump(o, n), p)
+                 for c in col for alpha in range(p)]
+                if o.depth >= n else [c for c in col for _ in range(p)]
+                for o, col in zip(t.orbits, columns)]
+    return pushforward_columns
 
 
-def ceiling_pushforward(d, t, alpha):
-    """`pushforward_alpha` rounding the pushed coefficients up."""
-    n = d.level + 1
-    coeffs = tuple(-((alpha * o.jumps[n - 1] - c) // t.group.p)
-                   if o.depth >= n else c
-                   for o, c in zip(t.orbits, d.coeffs))
-    return cover_tower.LevelDivisor(n, d.base_degree, coeffs)
+# The breaks read outermost-first: a wrong chain.  Recursive walks it; the
+# engine's digit-sum table does not.
+reversed_breaks = _column_mutant(lambda o, n: o.jumps[o.depth - n],
+                                 lambda c, s, p: (c - s) // p)
+# The pushed coefficients rounded up.
+ceiling_pushforward = _column_mutant(lambda o, n: o.jumps[n - 1],
+                                     lambda c, s, p: -((s - c) // p))
 
 
 def _table_mutant(edit):
@@ -140,15 +142,16 @@ def _p2_conductor(original):
 
 
 def _base_twice_at_bottom(original):
-    def divisor_degree(d, t):
-        deg = original(d, t)
-        return deg + d.base_degree if d.level == t.group.v else deg
-    return divisor_degree
+    """`column_degrees`, the sum of Recursive's last level, adding the
+    base degree twice."""
+    def column_degrees(base_degree, columns, t):
+        return [deg + base_degree for deg in original(base_degree, columns, t)]
+    return column_degrees
 
 
 MUTANTS = {
-    "reversed breaks": ("pushforward_alpha", lambda _: reversed_breaks),
-    "ceiling for floor": ("pushforward_alpha", lambda _: ceiling_pushforward),
+    "reversed breaks": ("pushforward_columns", lambda _: reversed_breaks),
+    "ceiling for floor": ("pushforward_columns", lambda _: ceiling_pushforward),
     "digits reversed": ("degree_table", _table_mutant(_digits_reversed)),
     "last degree +1": ("degree_table", _table_mutant(_last_plus_one)),
     "base degree on odd indices only": ("degree_table",
@@ -158,7 +161,7 @@ MUTANTS = {
                                           _euler_off_by_one),
     "min for max": ("orbit_point_count", _min_for_max),
     "p = 2 conductor (p-1)(N+2)": ("genus", _p2_conductor),
-    "base degree twice at level v": ("divisor_degree", _base_twice_at_bottom),
+    "base degree twice at level v": ("column_degrees", _base_twice_at_bottom),
 }
 
 

@@ -12,8 +12,8 @@ from galmod.as_oracle import (
     sigma_matrix,
     to_tower,
 )
-from galmod.cyclic_rep import Decomposition
-from galmod.decomposition import decompose_closed_form
+from galmod.cyclic_rep import Decomposition, from_simple_basis
+from galmod.decomposition import decompose_closed_form, euler_characteristic
 from galmod.errors import DegreeTooSmall, ValidationError
 
 
@@ -279,3 +279,16 @@ def test_jordan_type_of_matrix_large_conjugates(p, size):
     expected = Decomposition.from_dict(dict(Counter(blocks)))
     assert jordan_type_of_matrix(mat, p) == expected, blocks
     assert dense_jordan_type(mat, p) == expected, blocks
+
+
+def test_euler_below_the_gate_is_not_h0_minus_h1():
+    # y^2 - y = x is P^1, with K = div(dx) = -2 P_inf fixed by sigma; for
+    # D = -2 P_inf, H^0(D) = 0 and H^1(D) = H^0(K - D)^dual = H^0(0 P_inf)
+    c = ASCurve(2, 1)
+    tower, divisor = to_tower(c)
+    h1 = jordan_type(c, 2 * c.genus - 2 - (-2))
+    assert h1 == Decomposition.from_dict({1: 1})
+    euler = from_simple_basis(euler_characteristic(divisor(-2), tower),
+                              tower.group)
+    # [H^0] - [H^1] = -V_1, but the vector reads V_1 - V_2
+    assert euler.coords == (1, -1)

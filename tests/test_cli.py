@@ -476,9 +476,10 @@ def test_python_m_galmod_runs_from_a_checkout(tmp_path, capsys):
 
 
 def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
-    calls = count_calls(monkeypatch, ("pushforward_alpha", "cartan_inverse",
-                                      "graded_piece_divisor",
-                                      "divisor_degree"))
+    calls = count_calls(monkeypatch, ("pushforward_columns",
+                                      "pushforward_alpha", "cartan_inverse",
+                                      "graded_piece_divisor", "divisor_degree",
+                                      "level_zero_divisor", "LevelDivisor"))
     # the pushforward chain reads coefficients in tower order, so only the
     # id-keyed input is ever looked up by orbit id
     orbit = count_calls(monkeypatch, ("orbit",))
@@ -488,13 +489,14 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert len(json.loads(out)["multiplicities"]) == 3125
-    # only Recursive walks the chain, breadth-first: one step per (level,
-    # index prefix) pair and one degree per last-level divisor; the other
-    # three degrees are the input's, for the degree bound of each route and
-    # for the report
-    assert calls["pushforward_alpha"] == sum(5 ** n for n in range(1, 6))
-    assert calls["graded_piece_divisor"] == 0
-    assert calls["divisor_degree"] == 5 ** 5 + 3
+    # only Recursive walks the chain, by orbit columns: one column step per
+    # level of the order-5^5 tower, and no per-index divisor or pushforward;
+    # the three degrees are the input's, for the degree bound of each route
+    # and for the report
+    assert calls["pushforward_columns"] == 5
+    assert calls["pushforward_alpha"] == calls["graded_piece_divisor"] == 0
+    assert calls["LevelDivisor"] == calls["level_zero_divisor"] > 0
+    assert calls["divisor_degree"] == 3
     assert calls["cartan_inverse"] == 0
     assert orbit["orbit"] <= 20
 

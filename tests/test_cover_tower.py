@@ -10,6 +10,7 @@ from galmod.cover_tower import (
     level_zero_divisor,
     orbit_point_count,
     pushforward_alpha,
+    pushforward_columns,
     validate_strict,
 )
 from galmod.cyclic_rep import GroupSpec
@@ -174,3 +175,15 @@ def test_validate_strict_upper_break_growth():
 def test_validate_strict_flags_bad_genus():
     rep = validate_strict(CoverTower(GroupSpec(2, 1), 0, ()))
     assert not rep.ok and any("genus" in v for v in rep.violations)
+
+
+def test_pushforward_columns_checks_its_input():
+    t = CoverTower(GroupSpec(2, 2), 0, (RamifiedOrbit("P", 1, (3,)),))
+    # the depth-1 orbit is floored at level 1 and copied at level 2
+    assert pushforward_columns([[7]], t, 1) == [[3, 2]]
+    assert pushforward_columns([[3, 2]], t, 2) == [[3, 3, 2, 2]]
+    for n in (0, 3):
+        with pytest.raises(ValidationError):
+            pushforward_columns([[7]], t, n)
+    with pytest.raises(ValueError):
+        pushforward_columns([[7], [1]], t, 1)

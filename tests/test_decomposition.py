@@ -84,9 +84,9 @@ def test_degree_table_matches_level_degrees_at_large_orders(p, v):
 
 
 def test_recursive_walk_matches_per_index_chain_on_corpus():
-    # the breadth-first levels list index prefix * p + alpha, most
-    # significant digit innermost, as the per-index chain of level_degrees
-    # reads the digits of j - 1
+    # the orbit columns list index prefix * p + alpha, most significant
+    # digit innermost, as the per-index chain of level_degrees reads the
+    # digits of j - 1; the two walks share no step
     deep = [(t, d) for t, d in generate_corpus(1, 3000) if t.group.v >= 2]
     assert deep
     for t, d in deep:
