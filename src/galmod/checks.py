@@ -134,13 +134,15 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
     invariants are H^0(X_k, floor(pi_k* D / p^k)): an orbit of depth m
     has ramification index p^min(m, k) over X_k, so its coefficient is
     floored by that.  Riemann-Roch gives their dimension, deg + 1 - g_k,
-    only when deg > 2g_k - 2; a level where that fails is skipped.  When
-    deg D > 2g_X - 2, as the engine requires, no level is: the floors lose
-    at most sum_P (e_P - 1), and the different has at least that degree.
+    with every g_k from one `genera` pass, only when deg > 2g_k - 2; a
+    level where that fails is skipped.  When deg D > 2g_X - 2, as the
+    engine requires, no level is: the floors lose at most
+    sum_P (e_P - 1), and the different has at least that degree.
     Neither side reads the pushforward chain.  Level 0 is the dimension
     identity and level v the Kani identity.
     """
     g = t.group
+    genera = t.genera()
     coeffs = dict(d.orbit_coeffs)
     # sum_j m_j min(j, q) = sum_{i <= q} #{blocks of size >= i}
     at_least = list(accumulate(reversed(mult)))[::-1]
@@ -152,7 +154,7 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
         deg = d.base_degree * q + sum(
             coeffs.get(o.id, 0) // g.p ** min(o.depth, k)
             * orbit_point_count(o, k, g) for o in t.orbits)
-        g_k = t.genus(k)
+        g_k = genera[k]
         if deg <= 2 * g_k - 2:
             skipped += 1
         elif fixed[q] != deg + 1 - g_k:

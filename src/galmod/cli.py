@@ -163,8 +163,7 @@ def echo_input(tower: CoverTower, d: InvariantDivisor, options: dict) -> dict:
 def validate_for_run(tower: CoverTower, strict: bool) -> dict:
     """Default validation needs a well-defined genus at every level; strict
     additionally applies the realizability conditions on the breaks."""
-    genera = [tower.genus(n) for n in range(tower.group.v + 1)]
-    verdict = {"genus_per_level": genera, "strict": None}
+    verdict = {"genus_per_level": tower.genera(), "strict": None}
     if strict:
         rep = validate_strict(tower)
         verdict["strict"] = {"ok": rep.ok, "violations": list(rep.violations)}
@@ -246,9 +245,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_genus(args) -> int:
     tower, d, options = parse_document(load_document(args.input))
-    genera = [tower.genus(n) for n in range(tower.group.v + 1)]
     print(render_json({"input": echo_input(tower, d, options),
-                       "genus_per_level": genera}))
+                       "genus_per_level": tower.genera()}))
     return EXIT_OK
 
 

@@ -83,26 +83,31 @@ class CoverTower:
                 return o
         raise ValidationError(f"unknown orbit id {oid!r}")
 
-    def genus(self, n: int) -> int:
-        """Genus of the level-n curve X_n, by downward Riemann-Hurwitz from
-        g_Y: each wildly ramified point of the degree-p step pi_n
-        contributes conductor (p-1)(N+1)."""
+    def genera(self) -> list[int]:
+        """[g_0, ..., g_v], by one downward Riemann-Hurwitz pass from g_Y:
+        each wildly ramified point of the degree-p step pi_n contributes
+        conductor (p-1)(N+1).  Raises at the first bad level below Y."""
         g = self.group
-        if not 0 <= n <= g.v:
-            raise ValidationError(f"level {n} out of range 0..{g.v}")
-        gn = self.base_genus
-        for lvl in range(g.v, n, -1):
+        genera = [self.base_genus] * (g.v + 1)
+        for lvl in range(g.v, 0, -1):
             ram = sum(
                 orbit_point_count(o, lvl - 1, g) * (g.p - 1) * (o.jumps[lvl - 1] + 1)
                 for o in self.orbits if o.depth >= lvl)
-            chi = g.p * (2 * gn - 2) + ram
+            chi = g.p * (2 * genera[lvl] - 2) + ram
             if chi % 2 != 0:
                 raise NonIntegralGenus(
                     f"level {lvl - 1}: 2g - 2 = {chi} is odd")
-            gn = chi // 2 + 1
+            genera[lvl - 1] = gn = chi // 2 + 1
             if gn < 0:
                 raise NegativeGenus(f"level {lvl - 1}: genus {gn} < 0")
-        return gn
+        return genera
+
+    def genus(self, n: int) -> int:
+        """Genus of X_n, read off `genera`: it raises when any level, even
+        one below n, has no genus."""
+        if not 0 <= n <= self.group.v:
+            raise ValidationError(f"level {n} out of range 0..{self.group.v}")
+        return self.genera()[n]
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,7 +261,7 @@ def validate_strict(t: CoverTower) -> ValidationReport:
     u_{i+1} >= p * u_i, and p does not divide u_{i+1} when the
     inequality is strict.  Construction computes no genus, so a tower
     with an odd 2g - 2 builds; the genus at every level is checked here,
-    by genus(0), which passes through all of them.
+    by one `genera` pass.
     """
     p = t.group.p
     bad: list[str] = []
@@ -287,7 +292,7 @@ def validate_strict(t: CoverTower) -> ValidationReport:
                 break
             u.append(nxt)
     try:
-        t.genus(0)
+        t.genera()
     except (NonIntegralGenus, NegativeGenus) as exc:
         bad.append(f"genus: {exc}")
     return ValidationReport(not bad, tuple(bad))

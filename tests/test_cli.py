@@ -479,7 +479,8 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     calls = count_calls(monkeypatch, ("pushforward_columns",
                                       "pushforward_alpha", "cartan_inverse",
                                       "graded_piece_divisor", "divisor_degree",
-                                      "level_zero_divisor", "LevelDivisor"))
+                                      "level_zero_divisor", "LevelDivisor",
+                                      "genera"))
     # the pushforward chain reads coefficients in tower order, so only the
     # id-keyed input is ever looked up by orbit id
     orbit = count_calls(monkeypatch, ("orbit",))
@@ -498,6 +499,9 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     assert calls["LevelDivisor"] == calls["level_zero_divisor"] > 0
     assert calls["divisor_degree"] == 3
     assert calls["cartan_inverse"] == 0
+    # one Riemann-Hurwitz pass each for validate_for_run, validate_strict,
+    # the two routes' degree bounds and the fixed-point identities
+    assert calls["genera"] == 5
     assert orbit["orbit"] <= 20
 
 

@@ -14,7 +14,7 @@ from galmod.cover_tower import (
     validate_strict,
 )
 from galmod.cyclic_rep import GroupSpec
-from galmod.errors import NegativeGenus, ValidationError
+from galmod.errors import NegativeGenus, NonIntegralGenus, ValidationError
 
 
 def z4_tower():
@@ -51,21 +51,38 @@ def test_orbit_point_count():
 def test_genus_examples():
     t = one_orbit_tower(2, 1, [3])
     assert t.genus(0) == 1
+    assert t.genera() == [1, 0]
     free = CoverTower(GroupSpec(3, 1), 2, ())
     assert free.genus(0) == 4
+    assert free.genera() == [4, 2]
     t2 = z4_tower()
-    assert [t2.genus(n) for n in (0, 1, 2)] == [1, 0, 0]
+    assert [t2.genus(n) for n in (0, 1, 2)] == t2.genera() == [1, 0, 0]
+    assert CoverTower(GroupSpec(5, 0), 3, ()).genera() == [3]
 
 
 def test_genus_rejects_unrealizable():
     free = CoverTower(GroupSpec(2, 1), 0, ())
+    with pytest.raises(NegativeGenus, match="level 0: genus -1 < 0"):
+        free.genera()
     with pytest.raises(NegativeGenus):
         free.genus(0)
+    # level 0 is the only bad level of both towers; genus(1) reads the
+    # whole pass, so it raises as well, where g_1 alone is well defined
+    odd = CoverTower(GroupSpec(2, 2), 0, (RamifiedOrbit("P", 2, (2, 1)),))
+    with pytest.raises(NonIntegralGenus, match="level 0: 2g - 2 = -1 is odd"):
+        odd.genera()
+    for t, error in ((free, NegativeGenus), (odd, NonIntegralGenus)):
+        with pytest.raises(error):
+            t.genus(1)
+    with pytest.raises(ValidationError):
+        odd.genus(3)
 
 
 @pytest.mark.parametrize("p,v,gy", [(2, 2, 1), (3, 2, 1), (2, 3, 2)])
 def test_free_tower_genus_formula(p, v, gy):
     t = CoverTower(GroupSpec(p, v), gy, ())
+    expected = [p ** (v - n) * (gy - 1) + 1 for n in range(v + 1)]
+    assert t.genera() == expected
     for n in range(v + 1):
         assert 2 * t.genus(n) - 2 == p ** (v - n) * (2 * gy - 2)
     assert t.genus(v) == gy
