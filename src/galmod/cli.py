@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .as_oracle import ASCurve, jordan_type, to_tower
 from .checks import check_case, cross_check, iter_corpus
@@ -53,6 +54,8 @@ EXIT_CODES = ((ParseError, EXIT_PARSE), (DegreeTooSmall, EXIT_DEGREE),
               (ValidationError, EXIT_VALIDATION), (GalmodError, EXIT_PROPERTY))
 
 MAX_ORACLE_N = 100
+
+_power_of_ten = cache(lambda n: 10 ** n)  # once per int-to-str digit limit
 
 METHOD_FLAGS = {
     "all": tuple(ALL_METHODS),
@@ -143,7 +146,7 @@ def _require_renderable(tower: CoverTower, d: InvariantDivisor) -> None:
                *(abs(c) for _, c in d.orbit_coeffs),
                *(n for o in tower.orbits for n in o.jumps)])
     q = tower.group.order
-    if 8 * q * q * (len(tower.orbits) + 1) * (big + 1) >= 10 ** limit:
+    if 8 * q * q * (len(tower.orbits) + 1) * (big + 1) >= _power_of_ten(limit):
         raise ParseError(f"input integers too large: the output could "
                          f"exceed {limit} decimal digits")
 
@@ -204,13 +207,13 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
 def render_json(obj: dict) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` for a dict with str keys,
     where json's indenting encoder writes each list item from Python: a list
-    of ints (bools excluded) is joined in one call, any other value is json's
-    text indented one level (a JSON string holds no raw newline)."""
+    of ints (bools excluded) is its repr, broken after each comma; any other
+    value is json's text indented one level (JSON strings hold no newline)."""
     items = []
     for key in sorted(obj):
         val = obj[key]
-        if type(val) is list and val and all(type(x) is int for x in val):
-            text = "[\n    " + ",\n    ".join(map(str, val)) + "\n  ]"
+        if type(val) is list and set(map(type, val)) == {int}:
+            text = "[\n    " + repr(val)[1:-1].replace(", ", ",\n    ") + "\n  ]"
         else:
             text = json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
         items.append(f"  {json.dumps(key)}: {text}")

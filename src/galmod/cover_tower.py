@@ -31,7 +31,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from itertools import repeat
+from operator import add, floordiv, sub
 
 from .cyclic_rep import GroupSpec
 from .errors import NegativeGenus, NonIntegralGenus, ValidationError
@@ -206,8 +207,10 @@ def pushforward_columns(columns: list[list[int]], t: CoverTower,
     divisors of all p^(n-1) index prefixes, in index order; the result
     holds the level-n ones, the child prefix * p + alpha twisted by
     alpha.  An orbit ramified in pi_n gets (c - alpha * N_n) // p, any
-    other keeps c in all p children.  The base part is untouched, so it
-    is not carried.  `pushforward_alpha` is the same step for one
+    other keeps c in all p children; the base part is not carried.  Each
+    child column is filled by p slice assignments of `map`s, so the
+    interpreter takes O(#orbits * p) steps per level and the per-entry
+    work runs in builtins.  `pushforward_alpha` is the same step for one
     divisor, written separately so that each can check the other.
     """
     g = t.group
@@ -215,14 +218,14 @@ def pushforward_columns(columns: list[list[int]], t: CoverTower,
         raise ValidationError(f"level {n} out of range 1..{g.v}")
     if len(columns) != len(t.orbits):
         raise ValueError(f"{len(columns)} columns for {len(t.orbits)} orbits")
-    p, alphas = g.p, range(g.p)
+    p = g.p
     out = []
     for o, col in zip(t.orbits, columns):
-        if o.depth >= n:
-            shifts = [alpha * o.jumps[n - 1] for alpha in alphas]
-            out.append([(c - s) // p for c in col for s in shifts])
-        else:
-            out.append([c for c in col for _ in alphas])
+        child = [0] * (len(col) * p)
+        for alpha in range(p):
+            child[alpha::p] = col if o.depth < n else map(
+                floordiv, map(sub, col, repeat(alpha * o.jumps[n - 1])), repeat(p))
+        out.append(child)
     return out
 
 

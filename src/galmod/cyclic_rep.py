@@ -14,6 +14,8 @@ All functions are pure; all values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import sub
 
 from .errors import ValidationError
 
@@ -168,9 +170,8 @@ def from_simple_basis(x: K0Vector, g: GroupSpec) -> K0Vector:
         raise ValidationError("expected a simple-basis vector")
     if len(x.coords) != g.order:
         raise ValidationError("coordinate length does not match group order")
-    # cartan_inverse(g) is tridiagonal: apply it in O(p^v) without building it
+    # cartan_inverse(g) is tridiagonal: row i sends c to e_i - e_(i+1),
+    # the last row to e_(n-1), e being the first differences of c
     c = x.coords
-    out = [2 * c[i] - (c[i - 1] if i else 0) - c[i + 1]
-           for i in range(len(c) - 1)]
-    out.append(c[-1] - (c[-2] if len(c) > 1 else 0))
-    return K0Vector("standard", tuple(out))
+    e = [c[0], *map(sub, islice(c, 1, None), c)]
+    return K0Vector("standard", (*map(sub, e, islice(e, 1, None)), e[-1]))

@@ -6,9 +6,10 @@ the base-p digits of j - 1, and m_j is a first difference of the degrees
 (`decompose_closed_form`).  `degree_table` evaluates the collapsed floors
 of that chain as one digit sum per orbit and takes no pushforward: it
 costs O(#orbits * p^D) arithmetic, D the largest orbit depth, plus the
-O(p^v) expansion of the dense table.  `level_degrees` walks the chain for
-one index (`graded_piece_divisor`) and stays as the tests' reference for
-the table.
+O(p^v) expansion of the dense table.  Like every pass over p^v entries
+here and in `pushforward_columns`, it runs in builtins (`map`, slices),
+so the interpreter takes O(#orbits * p * v) steps per decomposition.
+`level_degrees` walks the chain for one index, the tests' reference.
 
 One independent cross-check runs beside it in production, and the route
 table `ALL_METHODS` holds just these two, engine first.  The recursive
@@ -16,7 +17,7 @@ route walks the pushforward chain level by level, by orbit columns: at
 level n one list per orbit holds its coefficient in the divisors of all
 p^n digit prefixes of j - 1, in index order, and one call of
 `pushforward_columns` per level takes each floor as the chain does.
-That is O(#orbits * p^v) list work and no per-index divisor.  The
+That is O(#orbits * p^v) arithmetic and no per-index divisor.  The
 level-v degrees give an Euler-characteristic vector, converted with the
 inverse Cartan matrix.  It is the only production route that walks the
 chain, and it never collapses the floors into the engine's digit sum,
@@ -38,7 +39,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, floordiv, mul, sub
 
 from .cyclic_rep import (
     Decomposition,
@@ -78,11 +80,11 @@ class DecompositionReport:
 
     @property
     def dim_h0(self) -> int:
-        return sum(j * m for j, m in enumerate(self.mult_list, start=1))
+        return sum(map(mul, self.mult_list, count(1)))
 
     @property
     def realizable(self) -> bool:
-        return all(m >= 0 for m in self.mult_list)
+        return min(self.mult_list) >= 0
 
     @property
     def decomposition(self) -> Decomposition | None:
@@ -125,8 +127,8 @@ def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
     of index j with coefficient floor((c - sum_n p^(n-1) alpha_n N_n) / p^m),
     alpha_n being the n-th most significant base-p digit of j - 1.  deg_j is
     b plus the sum over orbits, so it depends only on the top D digits,
-    D the largest orbit depth.  The p^D prefix degrees cost
-    O(#orbits * p^D); the dense table repeats each one p^(v-D) times.
+    D the largest orbit depth.  The p^D prefix degrees cost O(#orbits *
+    p^D), run in builtins; the dense table repeats each one p^(v-D) times.
     """
     p = t.group.p
     depth = ramification_subgroup_exponent(t)
@@ -136,28 +138,33 @@ def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
         # order: level n + 1 appends digit alpha as prefix * p + alpha
         num = [c]
         for n, jump in enumerate(o.jumps):
-            step = p ** n * jump
-            num = [x - alpha * step for x in num for alpha in range(p)]
+            nxt = [0] * (len(num) * p)
+            for alpha in range(p):
+                nxt[alpha::p] = map(sub, num, repeat(alpha * p ** n * jump))
+            num = nxt
         q, reps = p ** o.depth, p ** (depth - o.depth)
-        prefix = [deg + num[k // reps] // q for k, deg in enumerate(prefix)]
+        floors = map(floordiv, num, repeat(q))
+        if reps > 1:
+            floors = chain.from_iterable(map(repeat, floors, repeat(reps)))
+        prefix = list(map(add, prefix, floors))
     reps = p ** (t.group.v - depth)
-    return [deg for deg in prefix for _ in range(reps)]
+    if reps > 1:
+        prefix = list(chain.from_iterable(map(repeat, prefix, repeat(reps))))
+    return prefix
 
 
 def euler_from_degrees(degrees: Sequence[int], t: CoverTower) -> K0Vector:
     """Simple-basis vector of running sums sum_{i<=j} (deg_i + 1 - g_Y)."""
     shift = 1 - t.base_genus
-    return K0Vector("simple", tuple(accumulate([deg + shift for deg in degrees])))
+    return K0Vector("simple", tuple(accumulate(map(add, degrees, repeat(shift)))))
 
 
 def decompose_closed_form(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
     """m_j = deg_j - deg_{j+1} for j < p^v; m_{p^v} = 1 - g_Y + deg_{p^v}."""
     _require_large_degree(d, t)
     degs = degree_table(d, t)
-    n = t.group.order
-    mult = [degs[j] - degs[j + 1] for j in range(n - 1)]
-    mult.append(1 - t.base_genus + degs[n - 1])
-    return DecompositionReport(tuple(degs), tuple(mult))
+    mult = (*map(sub, degs, islice(degs, 1, None)), 1 - t.base_genus + degs[-1])
+    return DecompositionReport(tuple(degs), mult)
 
 
 def decompose_second_difference(d: InvariantDivisor, t: CoverTower) -> DecompositionReport:
@@ -198,7 +205,8 @@ def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionRepo
     engine's collapsed digit sum.  At level v the columns hold the
     graded-piece divisors of V_1..V_{p^v} in index order, and deg_j is
     the base degree plus the j-th entry of each column.  The walk costs
-    O(#orbits * p^v) list work.
+    O(#orbits * p^v) arithmetic, in builtins, and O(#orbits * p * v)
+    interpreter steps.
     """
     _require_large_degree(d, t)
     g = t.group

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from galmod import cli, cyclic_rep, decomposition
 from galmod.checks import check_case, generate_corpus, random_case
 from galmod.cli import build_parser, main
-from galmod.cover_tower import CoverTower
+from galmod.cover_tower import CoverTower, RamifiedOrbit
 from mutants import count_calls, wrong_chain  # noqa: F401  (a fixture)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -418,6 +418,9 @@ _VALUES = st.recursive(
 @given(st.dictionaries(st.text(max_size=8), _VALUES, max_size=6))
 @example({})
 @example({"a\n\"é": [True, 1], "b": [], "c": [-1, 2 ** 64], "d": "\u2028\t"})
+@example({"a": [0]})
+@example({"a": [-7, 2 ** 80]})
+@example({"a": [1, True]})
 def test_render_json_matches_json_dumps(obj):
     assert cli.render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
@@ -503,6 +506,56 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     # the two routes' degree bounds and the fixed-point identities
     assert calls["genera"] == 5
     assert orbit["orbit"] <= 20
+
+
+def test_decompose_all_interpreter_work_follows_v_not_order(tmp_path, capsys):
+    # Every pass over the p^v entries of a table runs in builtins, so the
+    # lines of galmod that run grow with the height v, not with 2^v.  One
+    # orbit of depth v at p = 2, upper breaks u_(i+1) = 2 u_i from u_1 = 1,
+    # and the least base degree above the vanishing gate.
+    package = str(Path(cli.__file__).parent) + os.sep
+
+    def document(v):
+        lower = [1]
+        for i in range(1, v):
+            lower.append(lower[-1] + 2 ** i * 2 ** (i - 1))
+        jumps = lower[::-1]
+        tower = CoverTower(cyclic_rep.GroupSpec(2, v), 0,
+                           (RamifiedOrbit("P", v, tuple(jumps)),))
+        base = (2 * tower.genus(0) - 2) // 2 ** v + 1
+        path = tmp_path / f"one_orbit_v{v}.json"
+        path.write_text(json.dumps(dict(
+            FREE_DOC, group={"p": 2, "v": v}, base_genus=0,
+            orbits=[{"id": "P", "depth": v, "jumps": jumps}],
+            divisor={"base_degree": base, "orbit_coeffs": {"P": 0}})))
+        return str(path)
+
+    def line_events(v):
+        argv = ["decompose", document(v), "--method", "all", "--format", "json"]
+        assert run(capsys, *argv)[0] == 0  # an untraced run builds the parser
+        events = 0
+
+        def local(frame, event, arg):
+            nonlocal events
+            events += event == "line"
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code.co_filename.startswith(package) else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            code = main(argv)
+        finally:
+            sys.settrace(previous)
+        assert code == 0
+        capsys.readouterr()
+        return events
+
+    # the bound sits between 1.6x, every pass in builtins, and 12.9x, the
+    # passes looping per entry in Python
+    assert line_events(10) < 2 * line_events(5)
 
 
 def test_decompose_all_looks_up_no_orbit_per_orbit(tmp_path, capsys,
@@ -625,18 +678,27 @@ def test_a_wrong_chain_diverges_on_every_deep_corpus_case(wrong_chain):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="no limit on integer string conversion")
-@pytest.mark.parametrize("argv", [["decompose", "--format", "json"],
-                                  ["decompose", "--format", "table"],
-                                  ["euler"]])
-def test_unrenderable_integers_exit_2(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv,limit", [
+    (["decompose", "--format", "json"], None),
+    (["decompose", "--format", "table"], None),
+    (["euler"], None),
+    # a limit lowered after earlier parses still applies
+    (["decompose", "--format", "json"], 1000),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_unrenderable_integers_exit_2(argv, limit, tmp_path, capsys):
     # each input is within the digit limit, but dim H^0 and the Euler
     # vector of this free Z/2^2 tower would exceed it
-    genus = 9 * 10 ** (sys.get_int_max_str_digits() - 2)
-    doc = dict(FREE_DOC, group={"p": 2, "v": 2}, base_genus=genus,
-               divisor={"base_degree": 5 * genus, "orbit_coeffs": {}})
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit or default)
+    try:
+        genus = 9 * 10 ** (sys.get_int_max_str_digits() - 2)
+        doc = dict(FREE_DOC, group={"p": 2, "v": 2}, base_genus=genus,
+                   divisor={"base_degree": 5 * genus, "orbit_coeffs": {}})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    finally:
+        sys.set_int_max_str_digits(default)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

@@ -14,6 +14,7 @@ from galmod.checks import generate_corpus
 from galmod.cyclic_rep import Decomposition, GroupSpec
 from galmod.decomposition import (
     ALL_METHODS,
+    DecompositionReport,
     decompose_closed_form,
     decompose_pullback,
     decompose_recursive,
@@ -165,7 +166,13 @@ def test_negative_multiplicity_is_flagged_not_raised():
     rep = decompose_closed_form(InvariantDivisor.from_dict(0, {"P": 20}), t)
     assert not rep.realizable
     assert rep.decomposition is None
-    assert any(m < 0 for m in rep.mult_list)
+    assert rep.mult_list == (2, -1, 1, 4)
+    assert rep.dim_h0 == 2 - 2 + 3 + 16
+    # a negative entry at either end, and a zero one, which is realizable
+    for mult, dim, realizable in [((-1, 3), 5, False), ((3, -1), 1, False),
+                                  ((0, 0, 0), 0, True)]:
+        rep = DecompositionReport((0,) * len(mult), mult)
+        assert (rep.dim_h0, rep.realizable) == (dim, realizable)
 
 
 def test_second_difference_fixture():
@@ -294,7 +301,11 @@ def test_trivial_group_decomposition():
     rep = decompose_closed_form(InvariantDivisor(base_degree=4), t)
     assert rep.mult_list == (4,)
     assert rep.dim_h0 == 4
+    assert rep.realizable
     assert rep.decomposition == Decomposition.from_dict({1: 4})
+    # an order-1 report with a negative entry
+    neg = DecompositionReport((-3,), (-2,))
+    assert (neg.dim_h0, neg.realizable, neg.decomposition) == (-2, False, None)
 
 
 def test_dimension_identity_on_fixtures():
