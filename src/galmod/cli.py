@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import count as count_from
 
 from .as_oracle import ASCurve, jordan_type, to_tower
 from .checks import check_case, cross_check, iter_corpus
@@ -168,11 +169,11 @@ def validate_for_run(tower: CoverTower, strict: bool) -> dict:
     additionally applies the realizability conditions on the breaks."""
     verdict = {"genus_per_level": tower.genera(), "strict": None}
     if strict:
-        rep = validate_strict(tower)
-        verdict["strict"] = {"ok": rep.ok, "violations": list(rep.violations)}
-        if not rep.ok:
+        violations = validate_strict(tower)
+        if violations:
             raise ValidationError(
-                "strict validation failed: " + "; ".join(rep.violations))
+                "strict validation failed: " + "; ".join(violations))
+        verdict["strict"] = {"ok": True, "violations": []}
     return verdict
 
 
@@ -184,7 +185,7 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     verdict = validate_for_run(tower, strict)
     first, problems = cross_check(
         d, tower, methods,
-        identities=len(methods) > 1 and (strict or validate_strict(tower).ok))
+        identities=len(methods) > 1 and (strict or not validate_strict(tower)))
     if problems:
         raise GalmodError(
             "; ".join(problems) + "; input: "
@@ -229,9 +230,8 @@ def render_table(report: dict) -> str:
     lines.append(f"dim H^0          {report['dim_h0']}")
     lines.append(f"realizable       {report['diagnostics']['realizable']}")
     lines.append("  j  deg_j  m_j")
-    for j, (deg, m) in enumerate(zip(report["degrees"],
-                                     report["multiplicities"]), start=1):
-        lines.append(f"{j:>3}  {deg:>5}  {m:>3}")
+    lines += map("{:>3}  {:>5}  {:>3}".format, count_from(1),
+                 report["degrees"], report["multiplicities"])
     return "\n".join(lines)
 
 

@@ -249,14 +249,9 @@ def kani_pushforward(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:
                               zip(t.orbits, level_zero_divisor(d, t).coeffs)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_strict(t: CoverTower) -> ValidationReport:
-    """Check the necessary realizability conditions on the jump data.
+def validate_strict(t: CoverTower) -> tuple[str, ...]:
+    """The necessary realizability conditions that the jump data violate;
+    empty when the tower passes them all.
 
     Per orbit, with lower breaks b_i read off the jumps innermost-last:
     no break divisible by p, b non-decreasing, the upper breaks
@@ -298,4 +293,4 @@ def validate_strict(t: CoverTower) -> ValidationReport:
         t.genera()
     except (NonIntegralGenus, NegativeGenus) as exc:
         bad.append(f"genus: {exc}")
-    return ValidationReport(not bad, tuple(bad))
+    return tuple(bad)

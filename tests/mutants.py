@@ -1,13 +1,21 @@
-"""Test helpers that patch galmod in place: call counters and a catalogue
-of deliberately wrong versions of the engine's building blocks (mutants).
+"""Test helpers that run galmod under watch or patch it in place: call
+and line-event counters, and a catalogue of deliberately wrong versions
+of the engine's building blocks (mutants).
 
 A patch replaces a name in every owner that holds a reference to it, so
-that no module keeps calling the original.  `MUTANTS` maps a mutant's
-name to the function it replaces and a builder of the replacement from
-the original; `apply_mutant` patches it in through a pytest
-`monkeypatch`.  A check earns its place in `checks.check_case` by
-catching a mutant that the other checks miss.
+that no module keeps calling the original, and fails when no owner
+holds it, so that a count of a deleted name cannot pass by counting
+nothing.  `MUTANTS` maps a mutant's name to the function it replaces
+and a builder of the replacement from the original; `apply_mutant`
+patches it in through a pytest `monkeypatch`.  A check earns its place
+in `checks.check_case` by catching a mutant that the other checks miss,
+or by testing a consequence of realizability that the other checks do
+not imply.
 """
+
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,14 +27,20 @@ OWNERS = (cover_tower, decomposition, cyclic_rep, checks, cli,
 
 def patch_everywhere(monkeypatch, name, replace, owners=OWNERS):
     """Swap the function `name` for `replace(original)` in each owner (a
-    module, a class or a method table) that holds it."""
+    module, a class or a method table) that holds it; raises `LookupError`
+    when none does."""
+    found = False
     for owner in owners:
         if isinstance(owner, dict):
             for key, fn in owner.items():
                 if getattr(fn, "__name__", None) == name:
                     monkeypatch.setitem(owner, key, replace(fn))
+                    found = True
         elif hasattr(owner, name):
             monkeypatch.setattr(owner, name, replace(getattr(owner, name)))
+            found = True
+    if not found:
+        raise LookupError(f"no owner holds {name!r}")
 
 
 def count_calls(monkeypatch, names, owners=OWNERS):
@@ -45,6 +59,45 @@ def count_calls(monkeypatch, names, owners=OWNERS):
     for name in names:
         patch_everywhere(monkeypatch, name, counting(name), owners)
     return calls
+
+
+PACKAGE = str(Path(cli.__file__).parent) + os.sep
+
+
+def count_line_events(fn, *args):
+    """Call fn(*args) under `sys.settrace`; returns its result and the
+    number of lines executed inside the galmod package."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, events
+
+
+def one_orbit_case(v):
+    """The tower whose line events the tests measure: one orbit of depth v
+    at p = 2, upper breaks u_(i+1) = 2 u_i from u_1 = 1, and the least base
+    degree above the vanishing gate."""
+    lower = [1]
+    for i in range(1, v):
+        lower.append(lower[-1] + 2 ** i * 2 ** (i - 1))
+    tower = cover_tower.CoverTower(
+        cyclic_rep.GroupSpec(2, v), 0,
+        (cover_tower.RamifiedOrbit("P", v, tuple(reversed(lower))),))
+    base = (2 * tower.genus(0) - 2) // 2 ** v + 1
+    return tower, cover_tower.InvariantDivisor(base, (("P", 0),))
 
 
 def _column_mutant(jump, push):

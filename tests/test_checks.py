@@ -1,5 +1,5 @@
 """`check_case` catches every mutant in the catalogue and does no work
-beyond its five checks, on the corpus of `galmod check` and on a sample
+beyond its three checks, on the corpus of `galmod check` and on a sample
 stratified by prime, height and orbit depth; the corpus shares its
 parts."""
 
@@ -14,7 +14,7 @@ from galmod.cover_tower import CoverTower, InvariantDivisor, RamifiedOrbit, vali
 from galmod.cyclic_rep import GroupSpec
 from galmod.decomposition import lift_above_vanishing
 from galmod.errors import GalmodError
-from mutants import MUTANTS, apply_mutant, count_calls
+from mutants import MUTANTS, apply_mutant, count_calls, count_line_events, one_orbit_case
 
 # (p, v, depth of the deepest orbit); `generate_corpus` caps its breaks at
 # MAX_JUMP, so it never draws an orbit of depth 3 at p = 3 or 5
@@ -45,7 +45,7 @@ def stratified_case(rng, p, v, depth):
         orbits = tuple(RamifiedOrbit(f"P{k}", m, uncapped_jumps(rng, p, m))
                        for k, m in enumerate(depths))
         tower = CoverTower(GroupSpec(p, v), rng.randint(0, 2), orbits)
-        if validate_strict(tower).ok:
+        if not validate_strict(tower):
             d = InvariantDivisor.from_dict(
                 rng.randint(-5, 10), {o.id: rng.randint(-200, 200) for o in orbits})
             return tower, lift_above_vanishing(d, tower)
@@ -104,6 +104,25 @@ def test_check_case_work_per_case(monkeypatch):
                      "genera": 3 * len(corpus)}
 
 
+def test_check_case_interpreter_work_follows_v_not_order():
+    # check_case loops over no p^v entries of its own, so the lines of
+    # galmod it runs grow with the height v, not with 2^v
+    def line_events(v):
+        problems, events = count_line_events(check_case, one_orbit_case(v))
+        assert problems == []
+        return events
+
+    # the bound sits between 1.7x, no per-entry loop, and 6.8x, a scan of
+    # the degrees and multiplicities in Python
+    assert line_events(10) < 2 * line_events(5)
+
+
+def test_counting_a_missing_name_raises(monkeypatch):
+    # a count of a name that no module holds would otherwise read 0
+    with pytest.raises(LookupError, match="no_such_function"):
+        count_calls(monkeypatch, ("no_such_function",))
+
+
 def strict_break_sequences(p):
     """Break sequences of at most three levels, each break at most
     MAX_JUMP, that pass the strict realizability rules at p."""
@@ -115,7 +134,7 @@ def strict_break_sequences(p):
             tower = CoverTower(GroupSpec(p, depth), 2,
                                (RamifiedOrbit("P", depth, jumps),))
             if not any(msg.startswith("orbit")
-                       for msg in validate_strict(tower).violations):
+                       for msg in validate_strict(tower)):
                 found.add(jumps)
     return found
 

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from galmod import cli, cyclic_rep, decomposition
 from galmod.checks import check_case, generate_corpus, random_case
 from galmod.cli import build_parser, main
-from galmod.cover_tower import CoverTower, RamifiedOrbit
-from mutants import count_calls, wrong_chain  # noqa: F401  (a fixture)
+from galmod.cover_tower import CoverTower
+from mutants import (  # noqa: F401  (wrong_chain is a fixture)
+    count_calls, count_line_events, one_orbit_case, wrong_chain)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -505,57 +506,28 @@ def test_decompose_all_work_is_linear_in_order(tmp_path, capsys, monkeypatch):
     # one Riemann-Hurwitz pass each for validate_for_run, validate_strict,
     # the two routes' degree bounds and the fixed-point identities
     assert calls["genera"] == 5
-    assert orbit["orbit"] <= 20
+    assert orbit["orbit"] == 0
 
 
 def test_decompose_all_interpreter_work_follows_v_not_order(tmp_path, capsys):
-    # Every pass over the p^v entries of a table runs in builtins, so the
-    # lines of galmod that run grow with the height v, not with 2^v.  One
-    # orbit of depth v at p = 2, upper breaks u_(i+1) = 2 u_i from u_1 = 1,
-    # and the least base degree above the vanishing gate.
-    package = str(Path(cli.__file__).parent) + os.sep
-
-    def document(v):
-        lower = [1]
-        for i in range(1, v):
-            lower.append(lower[-1] + 2 ** i * 2 ** (i - 1))
-        jumps = lower[::-1]
-        tower = CoverTower(cyclic_rep.GroupSpec(2, v), 0,
-                           (RamifiedOrbit("P", v, tuple(jumps)),))
-        base = (2 * tower.genus(0) - 2) // 2 ** v + 1
+    # Every pass over the p^v entries of a table, and the table format's
+    # rows, runs in builtins, so the lines of galmod that run grow with the
+    # height v, not with 2^v.
+    def line_events(v, fmt):
         path = tmp_path / f"one_orbit_v{v}.json"
-        path.write_text(json.dumps(dict(
-            FREE_DOC, group={"p": 2, "v": v}, base_genus=0,
-            orbits=[{"id": "P", "depth": v, "jumps": jumps}],
-            divisor={"base_degree": base, "orbit_coeffs": {"P": 0}})))
-        return str(path)
-
-    def line_events(v):
-        argv = ["decompose", document(v), "--method", "all", "--format", "json"]
+        path.write_text(json.dumps(cli.echo_input(*one_orbit_case(v), {})))
+        argv = ["decompose", str(path), "--method", "all", "--format", fmt]
         assert run(capsys, *argv)[0] == 0  # an untraced run builds the parser
-        events = 0
-
-        def local(frame, event, arg):
-            nonlocal events
-            events += event == "line"
-            return local
-
-        def tracer(frame, event, arg):
-            return local if frame.f_code.co_filename.startswith(package) else None
-
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            code = main(argv)
-        finally:
-            sys.settrace(previous)
+        code, events = count_line_events(main, argv)
         assert code == 0
         capsys.readouterr()
         return events
 
     # the bound sits between 1.6x, every pass in builtins, and 12.9x, the
-    # passes looping per entry in Python
-    assert line_events(10) < 2 * line_events(5)
+    # passes looping per entry in Python (3.4x for the table format with
+    # one Python line per row)
+    for fmt in ("json", "table"):
+        assert line_events(10, fmt) < 2 * line_events(5, fmt), fmt
 
 
 def test_decompose_all_looks_up_no_orbit_per_orbit(tmp_path, capsys,
@@ -573,7 +545,7 @@ def test_decompose_all_looks_up_no_orbit_per_orbit(tmp_path, capsys,
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["genus_per_level"] == [999, 0]
-    assert orbit["orbit"] <= 20
+    assert orbit["orbit"] == 0
 
 
 @pytest.mark.parametrize("flag", [[], ["--strict"]])

@@ -172,26 +172,23 @@ def test_degree_bookkeeping_under_pushforward(p):
 
 
 def test_validate_strict_examples():
-    assert validate_strict(z4_tower()).ok
+    assert validate_strict(z4_tower()) == ()
     bad_order = one_orbit_tower(2, 2, [1, 3])
-    rep = validate_strict(bad_order)
-    assert not rep.ok and "increase" in rep.violations[0]
+    assert "increase" in validate_strict(bad_order)[0]
     bad_break = one_orbit_tower(2, 1, [2])
-    rep2 = validate_strict(bad_break)
-    assert not rep2.ok and "divisible by p" in rep2.violations[0]
+    assert "divisible by p" in validate_strict(bad_break)[0]
 
 
 def test_validate_strict_upper_break_growth():
     # lower breaks (1, 5): u_2 = 1 + (5-1)/2 = 3 >= 2*1, odd: ok
-    assert validate_strict(one_orbit_tower(2, 2, [5, 1])).ok
+    assert validate_strict(one_orbit_tower(2, 2, [5, 1])) == ()
     # lower breaks (3, 5): u_2 = 3 + 1 = 4 < 2*3: reject
-    rep = validate_strict(one_orbit_tower(2, 2, [5, 3]))
-    assert not rep.ok
+    assert validate_strict(one_orbit_tower(2, 2, [5, 3]))
 
 
 def test_validate_strict_flags_bad_genus():
-    rep = validate_strict(CoverTower(GroupSpec(2, 1), 0, ()))
-    assert not rep.ok and any("genus" in v for v in rep.violations)
+    violations = validate_strict(CoverTower(GroupSpec(2, 1), 0, ()))
+    assert any("genus" in v for v in violations)
 
 
 def test_pushforward_columns_checks_its_input():
