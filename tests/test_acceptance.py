@@ -113,6 +113,19 @@ def test_fixed_point_levels_below_riemann_roch_are_skipped():
                                 [0, 0, 0, 99])[1] == 0
 
 
+def test_fixed_point_failures_reads_an_omitted_orbit_as_zero():
+    tower = CoverTower(GroupSpec(2, 2), 0, (RamifiedOrbit("P", 2, (3, 1)),
+                                            RamifiedOrbit("Q", 1, (1,))))
+    mult = decompose_closed_form(
+        InvariantDivisor.from_dict(1, {"P": 5, "Q": 0}), tower).mult_list
+    assert fixed_point_failures(InvariantDivisor.from_dict(1, {"P": 5}),
+                                tower, mult) == ([], 0)
+    # a coefficient of 1 on Q adds its two points at level 0
+    assert fixed_point_failures(InvariantDivisor.from_dict(1, {"P": 5, "Q": 1}),
+                                tower, mult) == (
+        ["fixed points of the order-p^0 subgroup: 7 != 11 + 1 - 3"], 0)
+
+
 def test_method_agreement(corpus):
     start = time.perf_counter()
     for tower, d in corpus:

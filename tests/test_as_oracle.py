@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from galmod import as_oracle
 from galmod.as_oracle import (
     ASCurve,
     jordan_type,
@@ -15,6 +16,7 @@ from galmod.as_oracle import (
 from galmod.cyclic_rep import Decomposition, from_simple_basis
 from galmod.decomposition import decompose_closed_form, euler_characteristic
 from galmod.errors import DegreeTooSmall, ValidationError
+from mutants import patch_everywhere
 
 
 # The dense reference: rank of every power of N = M - I, each power formed
@@ -279,6 +281,84 @@ def test_jordan_type_of_matrix_large_conjugates(p, size):
     expected = Decomposition.from_dict(dict(Counter(blocks)))
     assert jordan_type_of_matrix(mat, p) == expected, blocks
     assert dense_jordan_type(mat, p) == expected, blocks
+
+
+# N = M - I splits into invariant blocks along the connected components of
+# its nonzero pattern; these matrices hide the blocks behind a permutation.
+
+
+def interleaved_direct_sum(parts, rng):
+    """The direct sum of the square matrices `parts`, conjugated by a random
+    permutation so that the blocks' indices interleave."""
+    size = sum(map(len, parts))
+    total = [[0] * size for _ in range(size)]
+    start = 0
+    for part in parts:
+        for i, row in enumerate(part):
+            total[start + i][start:start + len(row)] = row
+        start += len(part)
+    perm = rng.sample(range(size), size)
+    return [[total[a][b] for b in perm] for a in perm]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jordan_type_of_matrix_on_interleaved_blocks(p):
+    rng = random.Random(10 + p)
+    for _ in range(10):
+        sizes = [[rng.randint(1, 7) for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(2, 5))]
+        mat = interleaved_direct_sum(
+            [conjugated_unipotent(blocks, p, rng) for blocks in sizes], rng)
+        expected = Decomposition.from_dict(
+            dict(Counter(b for blocks in sizes for b in blocks)))
+        assert jordan_type_of_matrix(mat, p) == expected, sizes
+        assert dense_jordan_type(mat, p) == expected, sizes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jordan_type_of_matrix_reads_zero_diagonal_entries(p):
+    # I + u v^T with u = (1, 1), v = (-1, 1): v.u = 0, so N is nilpotent of
+    # rank 1, and M_00 = 0, i.e. N_00 = -1
+    zero_corner = [[0, 1], [p - 1, 2 % p]]
+    rng = random.Random(p)
+    mat = interleaved_direct_sum(
+        [conjugated_unipotent([3, 1], p, rng), zero_corner,
+         conjugated_unipotent([2], p, rng)], rng)
+    assert any(mat[i][i] == 0 for i in range(len(mat)))
+    expected = Decomposition.from_dict({1: 1, 2: 2, 3: 1})
+    assert jordan_type_of_matrix(mat, p) == expected
+    assert dense_jordan_type(mat, p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jordan_type_of_matrix_rejects_one_non_unipotent_block(p):
+    # x^2 - x - 1 is never (x - 1)^2 over F_p
+    rng = random.Random(p)
+    mat = interleaved_direct_sum(
+        [conjugated_unipotent([2, 2], p, rng), [[0, 1], [1, 1]],
+         conjugated_unipotent([3], p, rng)], rng)
+    with pytest.raises(ValidationError, match="matrix is not unipotent"):
+        jordan_type_of_matrix(mat, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_chain_vectors_are_no_longer_than_p(monkeypatch, p):
+    # sigma moves no exponent of x, so on the monomial basis no invariant
+    # block of N, and no vector the rank chain echelonizes, is longer than
+    # p, while dim here reaches 63
+    lengths = []
+
+    def recording(original):
+        def _echelon_mod_p(vectors, q):
+            lengths.extend(map(len, vectors))
+            return original(vectors, q)
+        return _echelon_mod_p
+
+    patch_everywhere(monkeypatch, "_echelon_mod_p", recording, (as_oracle,))
+    for m in range(1, 10):
+        if m % p:
+            jordan_type(ASCurve(p, m), 62)
+    assert lengths and max(lengths) <= p
 
 
 def test_euler_below_the_gate_is_not_h0_minus_h1():

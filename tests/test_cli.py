@@ -393,6 +393,10 @@ COMMAND_SHA256 = {
         "75623ba0c91f9eb9463cbb686d0b1c32883dffe306045b363db283d05b9b4021",
     ("order3125", "euler"):
         "460688f3b02ec20c436eb68c92ac66ecf112ef23ea160c5183240aafdf02b129",
+    (None, "oracle", "--p", "2", "--m-max", "9", "--n-max", "62"):
+        "f82147a22ceacda1442115386c362d6c05af146e69a3dcaf222e253f332081e4",
+    (None, "oracle", "--p", "3", "--m-max", "9", "--n-max", "62"):
+        "2b80fc19cb6751d7b449cda17162f08a0b421d3f46789b03566cdb652fc71f6a",
     (None, "oracle", "--p", "5", "--m-max", "9", "--n-max", "62"):
         "aced6f32a2bde5ae055af63cbec32450f8333e8cced3e624859727039c1bdac6",
 }

@@ -184,6 +184,12 @@ def test_validate_strict_upper_break_growth():
     assert validate_strict(one_orbit_tower(2, 2, [5, 1])) == ()
     # lower breaks (3, 5): u_2 = 3 + 1 = 4 < 2*3: reject
     assert validate_strict(one_orbit_tower(2, 2, [5, 3]))
+    # lower breaks (1, 3, 7): u = (1, 2, 3), and p * u_1 <= u_3 < p * u_2
+    assert validate_strict(one_orbit_tower(2, 3, [7, 3, 1])) == (
+        "orbit 'P': upper break 3 < p * 2",)
+    # lower breaks (1, 7): u_2 = 1 + 6/2 = 4 > 2*1, and even
+    assert validate_strict(one_orbit_tower(2, 2, [7, 1])) == (
+        "orbit 'P': new upper break 4 divisible by p",)
 
 
 def test_validate_strict_flags_bad_genus():
