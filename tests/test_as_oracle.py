@@ -361,6 +361,38 @@ def test_rank_chain_vectors_are_no_longer_than_p(monkeypatch, p):
     assert lengths and max(lengths) <= p
 
 
+def oracle_sweep():
+    """Every (curve, n) of `galmod oracle --m-max 9 --n-max 62` at p = 2,
+    3 and 5: 1,023 calls, dim up to 63."""
+    return [(c, n) for p in (2, 3, 5) for m in range(1, 10) if m % p
+            for c in [ASCurve(p, m)]
+            for n in range(max(2 * c.genus - 1, 0), 63)]
+
+
+def test_jordan_type_builds_no_dense_matrix(monkeypatch):
+    # sigma - 1 comes straight from the basis as its nonzero entries, so the
+    # dense matrix and its dim^2 scan are not on this path at all
+    def refuse(original):
+        def dense(*args):
+            raise AssertionError(f"{original.__name__} called")
+        return dense
+
+    for name in ("sigma_matrix", "jordan_type_of_matrix"):
+        patch_everywhere(monkeypatch, name, refuse, (as_oracle,))
+    sweep = oracle_sweep()
+    assert len(sweep) == 1023
+    for c, n in sweep:
+        dec = jordan_type(c, n)
+        assert dec.total_dim() == len(riemann_roch_basis(c, n))
+        assert all(s <= c.p for s, _ in dec.mult)
+
+
+def test_jordan_type_matches_the_dense_entry_point():
+    for c, n in oracle_sweep():
+        mat = sigma_matrix(c, riemann_roch_basis(c, n))
+        assert jordan_type(c, n) == jordan_type_of_matrix(mat, c.p), (c, n)
+
+
 def test_euler_below_the_gate_is_not_h0_minus_h1():
     # y^2 - y = x is P^1, with K = div(dx) = -2 P_inf fixed by sigma; for
     # D = -2 P_inf, H^0(D) = 0 and H^1(D) = H^0(K - D)^dual = H^0(0 P_inf)

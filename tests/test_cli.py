@@ -21,7 +21,7 @@ from galmod.checks import check_case, generate_corpus, random_case
 from galmod.cli import build_parser, main
 from galmod.cover_tower import CoverTower
 from mutants import (  # noqa: F401  (wrong_chain is a fixture)
-    count_calls, count_line_events, one_orbit_case, wrong_chain)
+    apply_mutant, count_calls, count_line_events, one_orbit_case, wrong_chain)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -193,8 +193,16 @@ def test_degree_too_small_exit_4(tmp_path, capsys):
     doc = dict(Z4_DOC, divisor={"base_degree": 0, "orbit_coeffs": {"P": 0}})
     path = tmp_path / "small.json"
     path.write_text(json.dumps(doc))
-    code, _, _ = run(capsys, "decompose", str(path))
+    code, out, err = run(capsys, "decompose", str(path))
     assert code == 4
+    assert (out, err) == ("", "error: deg D = 0 <= 2g_X - 2 = 0\n")
+    # g_X = 13 and deg D = 4 * 1 + 3: two numbers that no slip confuses
+    doc = dict(Z4_DOC, base_genus=3,
+               divisor={"base_degree": 1, "orbit_coeffs": {"P": 3}})
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 4
+    assert (out, err) == ("", "error: deg D = 7 <= 2g_X - 2 = 24\n")
 
 
 def test_genus_command(z4_file, capsys):
@@ -288,6 +296,32 @@ def test_check_zero_cases_vacuous(capsys):
     code, out, _ = run(capsys, "check", "--seed", "1", "--cases", "0")
     assert code == 0
     assert "failures=0" in out
+
+
+def test_check_digest_covers_inputs_and_multiplicities(capsys):
+    code, out, _ = run(capsys, "check", "--seed", "3", "--cases", "50")
+    assert code == 0
+    digest = hashlib.sha256()
+    for tower, d in generate_corpus(3, 50):
+        line = json.dumps([cli.echo_input(tower, d, {}),
+                           list(decomposition.decompose_closed_form(
+                               d, tower).mult_list)], sort_keys=True)
+        digest.update(f"{line}\n".encode())
+    assert out == (f"check seed=3 cases=50 failures=0 "
+                   f"digest={digest.hexdigest()}\n")
+
+
+def test_check_digest_sees_a_corpus_that_moves(capsys, monkeypatch):
+    # lifting one base degree too far keeps every case above the gate, so
+    # every check passes: only the digest tells the two corpora apart
+    code, before, _ = run(capsys, "check", "--cases", "200")
+    assert code == 0
+    apply_mutant(monkeypatch, "lift by one more")
+    code, after, _ = run(capsys, "check", "--cases", "200")
+    assert code == 0
+    assert after != before
+    summary = "check seed=1 cases=200 failures=0 digest="
+    assert before.startswith(summary) and after.startswith(summary)
 
 
 def test_trivial_group_document(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,7 @@ from galmod.cover_tower import (
     kani_pushforward,
     level_zero_divisor,
 )
-from galmod.checks import generate_corpus
+from galmod.checks import generate_corpus, random_case
 from galmod.cyclic_rep import Decomposition, GroupSpec
 from galmod.decomposition import (
     ALL_METHODS,
@@ -24,6 +26,7 @@ from galmod.decomposition import (
     euler_characteristic,
     graded_piece_divisor,
     level_degrees,
+    lift_above_vanishing,
     noether_check,
     ramification_subgroup_exponent,
 )
@@ -120,6 +123,28 @@ def test_degree_table_matches_level_degrees_off_the_realizable_locus(pv, data):
         {o.id: data.draw(st.integers(-500, 500)) for o in orbits})
     assert degree_table(d, t) == [level_degrees(d, t, j)
                                   for j in range(1, p ** v + 1)]
+
+
+@given(st.integers(0, 10 ** 6), st.integers(-300, 300), st.data())
+def test_lift_above_vanishing_is_the_least_lift(seed, base_degree, data):
+    # a strict-valid tower of the corpus generator, and any divisor on it
+    t, _ = random_case(random.Random(seed))
+    d = InvariantDivisor.from_dict(
+        base_degree, {o.id: data.draw(st.integers(-500, 500)) for o in t.orbits})
+    gate = 2 * t.genus(0) - 2
+
+    def degree(e):
+        return divisor_degree(level_zero_divisor(e, t), t)
+
+    lifted = lift_above_vanishing(d, t)
+    assert lifted.orbit_coeffs == d.orbit_coeffs
+    assert degree(lifted) > gate
+    if degree(d) > gate:
+        assert lifted == d
+    else:
+        assert lifted.base_degree > d.base_degree
+        assert degree(InvariantDivisor(lifted.base_degree - 1,
+                                       lifted.orbit_coeffs)) <= gate
 
 
 def test_noether_block_structure_on_corpus():
