@@ -140,14 +140,17 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
     engine requires, no level is: the floors lose at most
     sum_P (e_P - 1), and the different has at least that degree.
     Neither side reads the pushforward chain.  Level 0 is the dimension
-    identity and level v the Kani identity.
+    identity and level v the Kani identity.  The module side costs one
+    suffix-sum pass over mult and, per level, one slice sum over p^(v-k)
+    of its entries: at most 2 p^v entries in all.
     """
     g = t.group
     genera = t.genera()
     coeffs = dict(d.orbit_coeffs)
-    # sum_j m_j min(j, q) = sum_{i <= q} #{blocks of size >= i}
-    at_least = list(accumulate(reversed(mult)))[::-1]
-    fixed = [0, *accumulate(at_least)]
+    # sum_j m_j min(j, q) = sum_{i <= q} #{blocks of size >= i}; those
+    # counts are the suffix sums of mult, held largest i first, so the
+    # last q of them add up to the H_k-invariants
+    at_least = list(accumulate(reversed(mult)))
     failures = []
     skipped = 0
     for k in range(g.v + 1):
@@ -158,24 +161,24 @@ def fixed_point_failures(d: InvariantDivisor, t: CoverTower,
         g_k = genera[k]
         if deg <= 2 * g_k - 2:
             skipped += 1
-        elif fixed[q] != deg + 1 - g_k:
+        elif (fixed := sum(at_least[-q:])) != deg + 1 - g_k:
             failures.append(f"fixed points of the order-p^{k} subgroup: "
-                            f"{fixed[q]} != {deg} + 1 - {g_k}")
+                            f"{fixed} != {deg} + 1 - {g_k}")
     return failures, skipped
 
 
 def cross_check(d: InvariantDivisor, t: CoverTower,
                 methods: Sequence[str] = tuple(ALL_METHODS),
                 identities: bool = True
-                ) -> tuple[DecompositionReport, list[str]]:
+                ) -> tuple[dict[str, DecompositionReport], list[str]]:
     """Run the routes named in `methods`, looked up in `ALL_METHODS` at each
-    call; returns the first route's report and the problems: each route
-    whose multiplicities or degrees differ from the first's, then the
-    `fixed_point_failures` of each distinct multiplicity list, naming the
-    routes that produced it, so that a divergence says which route is
-    wrong.  `identities` is true when more than one route runs on a
-    realizable tower: the identities need not hold on break data that no
-    tower has."""
+    call; returns their reports by name, in `methods` order, and the
+    problems: each route whose multiplicities or degrees differ from the
+    first's, then the `fixed_point_failures` of each distinct multiplicity
+    list, naming the routes that produced it, so that a divergence says
+    which route is wrong.  `identities` is true when more than one route
+    runs on a realizable tower: the identities need not hold on break data
+    that no tower has."""
     reports = {name: ALL_METHODS[name](d, t) for name in methods}
     first_name, first = next(iter(reports.items()))
     problems = [f"method divergence: {name} produced {list(rep.mult_list)}, "
@@ -190,7 +193,7 @@ def cross_check(d: InvariantDivisor, t: CoverTower,
         problems += [f"{msg} ({', '.join(names)})"
                      for mult, names in routes.items()
                      for msg in fixed_point_failures(d, t, mult)[0]]
-    return first, problems
+    return reports, problems
 
 
 def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
@@ -203,7 +206,8 @@ def check_case(case: tuple[CoverTower, InvariantDivisor]) -> list[str]:
     there, give sum_j j m_j = p^v c and sum_j m_j = c, and with m_j >= 0
     these force the multiple c of the regular module V_(p^v)."""
     tower, d = case
-    base, failures = cross_check(d, tower)
+    reports, failures = cross_check(d, tower)
+    base = next(iter(reports.values()))
     if not base.realizable:
         failures.append(f"negative multiplicity on strict-valid data: "
                         f"{base.mult_list}")

@@ -185,21 +185,27 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     `cross_check`; with `strict` set, `validate_for_run` has checked that
     the tower is realizable, and raised if not."""
     verdict = validate_for_run(tower, strict)
-    first, problems = cross_check(
+    reports, problems = cross_check(
         d, tower, methods,
         identities=len(methods) > 1 and (strict or not validate_strict(tower)))
     if problems:
         raise GalmodError(
             "; ".join(problems) + "; input: "
             + json.dumps(echo_input(tower, d, options), sort_keys=True))
-    euler = euler_from_degrees(first.degrees, tower)
+    first = next(iter(reports.values()))
+    # Recursive forms the Euler vector on its way, and cross_check has
+    # checked that its degrees are the first route's.  dim H^0 = sum_j j m_j
+    # is the vector's last coordinate, the Cartan matrix being min(i, j).
+    euler = reports.get(METHOD_RECURSIVE, first).euler
+    if euler is None:
+        euler = euler_from_degrees(first.degrees, tower)
     return {
         "input": echo_input(tower, d, options),
         "genus_per_level": verdict["genus_per_level"],
         "divisor_degree": divisor_degree(level_zero_divisor(d, tower), tower),
         "degrees": list(first.degrees),
         "multiplicities": list(first.mult_list),
-        "dim_h0": first.dim_h0,
+        "dim_h0": euler.coords[-1],
         "euler_simple_basis": list(euler.coords),
         "methods": list(methods),
         "validation": verdict,
@@ -207,20 +213,35 @@ def build_report(tower: CoverTower, d: InvariantDivisor, options: dict,
     }
 
 
+# the bytes of a JSON int list's items and the separators between them
+_INT_LIST_BYTES = b"0123456789-,\n "
+
+
 def render_json(obj: dict) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` for a dict with str keys,
-    where json's indenting encoder writes each list item from Python: a list
-    of ints (bools excluded) is its repr, broken after each comma; any other
-    value is json's text indented one level (JSON strings hold no newline)."""
-    items = []
-    for key in sorted(obj):
-        val = obj[key]
-        if type(val) is list and set(map(type, val)) == {int}:
-            text = "[\n    " + repr(val)[1:-1].replace(", ", ",\n    ") + "\n  ]"
-        else:
-            text = json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
+    where json's indenting encoder writes each list item from Python.
+
+    A nonempty list is rendered by one `%` call that writes each item's
+    repr, broken after each comma.  That is json's text when every item
+    is an int, bools excluded, and the text shows whether they are: it is
+    then made of digits, minus signs and separators only, while a bool,
+    float, None, string or nested list writes a letter, a dot, a quote or
+    a bracket.  Any other list, and any dict, is json's indented text
+    shifted one level (JSON strings hold no newline); an int or a string
+    is json's compact text, which is the same."""
+    items = [f"  {json.dumps(key)}: {_render_value(obj[key])}"
+             for key in sorted(obj)]
     return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
+def _render_value(val) -> str:
+    if type(val) is list and val:
+        body = ("%r,\n    " * (len(val) - 1) + "%r") % tuple(val)
+        if not body.encode().translate(None, _INT_LIST_BYTES):
+            return "[\n    " + body + "\n  ]"
+    elif type(val) in (int, str):
+        return json.dumps(val)
+    return json.dumps(val, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 def render_table(report: dict) -> str:

@@ -207,10 +207,11 @@ def pushforward_columns(columns: list[list[int]], t: CoverTower,
     divisors of all p^(n-1) index prefixes, in index order; the result
     holds the level-n ones, the child prefix * p + alpha twisted by
     alpha.  An orbit ramified in pi_n gets (c - alpha * N_n) // p, any
-    other keeps c in all p children; the base part is not carried.  Each
-    child column is filled by p slice assignments of `map`s, so the
-    interpreter takes O(#orbits * p) steps per level and the per-entry
-    work runs in builtins.  `pushforward_alpha` is the same step for one
+    other keeps c in all p children; the base part is not carried, and
+    the alpha = 0 child takes no subtraction.  Each child column is filled
+    by p slice assignments of `map`s, so the interpreter takes
+    O(#orbits * p) steps per level and the per-entry work runs in
+    builtins.  `pushforward_alpha` is the same step for one
     divisor, written separately so that each can check the other.
     """
     g = t.group
@@ -222,9 +223,15 @@ def pushforward_columns(columns: list[list[int]], t: CoverTower,
     out = []
     for o, col in zip(t.orbits, columns):
         child = [0] * (len(col) * p)
-        for alpha in range(p):
-            child[alpha::p] = col if o.depth < n else map(
-                floordiv, map(sub, col, repeat(alpha * o.jumps[n - 1])), repeat(p))
+        if o.depth < n:
+            for alpha in range(p):
+                child[alpha::p] = col
+        else:
+            step = o.jumps[n - 1]
+            child[::p] = map(floordiv, col, repeat(p))
+            for alpha in range(1, p):
+                shifted = map(sub, col, repeat(alpha * step))
+                child[alpha::p] = map(floordiv, shifted, repeat(p))
         out.append(child)
     return out
 
@@ -233,11 +240,12 @@ def column_degrees(base_degree: int, columns: list[list[int]],
                    t: CoverTower) -> list[int]:
     """Degrees on Y of the level-v divisors held as `pushforward_columns`
     holds them: each orbit has one point on Y, so deg_j is the base
-    degree plus the j-th entry of every column."""
-    degs = [base_degree] * t.group.order
+    degree plus the j-th entry of every column, summed by one chain of
+    `map`s into one list."""
+    degs = repeat(base_degree, t.group.order)
     for col in columns:
-        degs = list(map(add, degs, col))
-    return degs
+        degs = map(add, degs, col)
+    return list(degs)
 
 
 def kani_pushforward(d: InvariantDivisor, t: CoverTower) -> LevelDivisor:

@@ -4,12 +4,14 @@ The engine reads the multiplicities m_j off one degree table: deg_j is the
 degree of the j-th iterated twisted pushforward of D, with twist exponents
 the base-p digits of j - 1, and m_j is a first difference of the degrees
 (`decompose_closed_form`).  `degree_table` evaluates the collapsed floors
-of that chain as one digit sum per orbit and takes no pushforward: it
-costs O(#orbits * p^D) arithmetic, D the largest orbit depth, plus the
-O(p^v) expansion of the dense table.  Like every pass over p^v entries
-here and in `pushforward_columns`, it runs in builtins (`map`, slices),
-so the interpreter takes O(#orbits * p * v) steps per decomposition.
-`level_degrees` walks the chain for one index, the tests' reference.
+of that chain as one digit sum per orbit and takes no pushforward: one
+list of floors per orbit, at the orbit's own p^m entries, with the base
+degree folded into the first, summed shallowest orbit first and widened
+by rounds of p slice assignments to the p^v entries of the dense table.
+Like every pass over p^v entries here and in `pushforward_columns`, it
+runs in builtins (`map`, slices), so the interpreter takes
+O(#orbits * p * v) steps per decomposition.  `level_degrees` walks the
+chain for one index, the tests' reference.
 
 One independent cross-check runs beside it in production, and the route
 table `ALL_METHODS` holds just these two, engine first.  The recursive
@@ -19,10 +21,11 @@ p^n digit prefixes of j - 1, in index order, and one call of
 `pushforward_columns` per level takes each floor as the chain does.
 That is O(#orbits * p^v) arithmetic and no per-index divisor.  The
 level-v degrees give an Euler-characteristic vector, converted with the
-inverse Cartan matrix.  It is the only production route that walks the
-chain, and it never collapses the floors into the engine's digit sum,
-so its agreement with the engine sets the chain, the Cartan solve and
-the digit-sum formula against one another.
+inverse Cartan matrix; the report carries that vector, so that
+`cli.build_report` does not form it again.  It is the only production
+route that walks the chain, and it never collapses the floors into the
+engine's digit sum, so its agreement with the engine sets the chain, the
+Cartan solve and the digit-sum formula against one another.
 
 Two reference formulas stay for the tests and are not in the route
 table: second differences of the partial sums of the degrees, and the
@@ -38,9 +41,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import accumulate, chain, count, islice, repeat
-from operator import add, floordiv, mul, sub
+from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
+from operator import add, floordiv, sub
 
 from .cyclic_rep import (
     Decomposition,
@@ -72,15 +75,14 @@ class DecompositionReport:
 
     `mult_list` is dense (index 1..p^v) and may contain negative entries
     for non-realizable jump data; `decomposition` is None exactly in that
-    case and `realizable` is False.
+    case and `realizable` is False.  `euler` is the simple-basis Euler
+    vector when the route formed it on its way (Recursive does), else
+    None; it takes no part in comparing reports.
     """
 
     degrees: tuple[int, ...]
     mult_list: tuple[int, ...]
-
-    @property
-    def dim_h0(self) -> int:
-        return sum(map(mul, self.mult_list, count(1)))
+    euler: K0Vector | None = field(default=None, compare=False)
 
     @property
     def realizable(self) -> bool:
@@ -118,6 +120,20 @@ def level_degrees(d: InvariantDivisor, t: CoverTower, j: int) -> int:
     return divisor_degree(graded_piece_divisor(d, t, j), t)
 
 
+def _repeat_each(values: list[int], p: int, reps: int) -> list[int]:
+    """Each entry of `values` repeated `reps` times in a row, reps a power
+    of p: one round of p slice assignments per factor p, so the
+    interpreter takes O(p log_p reps) steps and the per-entry copies run
+    in builtins."""
+    while reps > 1:
+        wide = [0] * (len(values) * p)
+        for alpha in range(p):
+            wide[alpha::p] = values
+        values = wide
+        reps //= p
+    return values
+
+
 def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
     """[level_degrees(d, t, j) for j = 1..p^v] by the digit-sum formula,
     without taking a pushforward.
@@ -127,30 +143,37 @@ def degree_table(d: InvariantDivisor, t: CoverTower) -> list[int]:
     of index j with coefficient floor((c - sum_n p^(n-1) alpha_n N_n) / p^m),
     alpha_n being the n-th most significant base-p digit of j - 1.  deg_j is
     b plus the sum over orbits, so it depends only on the top D digits,
-    D the largest orbit depth.  The p^D prefix degrees cost O(#orbits *
-    p^D), run in builtins; the dense table repeats each one p^(v-D) times.
+    D the largest orbit depth.  The base degree rides in the numerators of
+    the shallowest orbit, as c + b p^m, since floor((x + b p^m) / p^m) =
+    floor(x / p^m) + b.  The orbits are summed shallowest first: the running
+    sum over the top m digits is widened to the next orbit's depth by
+    `_repeat_each` and then takes that orbit's p^m floors, and the sum over
+    the top D digits is widened once to p^v entries.  So the table costs
+    O(#orbits * p^D + p^v) arithmetic, in builtins.
     """
     p = t.group.p
-    depth = ramification_subgroup_exponent(t)
-    prefix = [d.base_degree] * p ** depth
-    for o, c in zip(t.orbits, level_zero_divisor(d, t).coeffs):
+    table, depth = [d.base_degree], 0
+    orbits = sorted(zip(t.orbits, level_zero_divisor(d, t).coeffs),
+                    key=lambda oc: oc[0].depth)
+    for k, (o, c) in enumerate(orbits):
+        q = p ** o.depth
         # one numerator per prefix of the orbit's m digits, in index
         # order: level n + 1 appends digit alpha as prefix * p + alpha
-        num = [c]
+        num = [c + d.base_degree * q if k == 0 else c]
         for n, jump in enumerate(o.jumps):
             nxt = [0] * (len(num) * p)
-            for alpha in range(p):
+            nxt[::p] = num
+            for alpha in range(1, p):
                 nxt[alpha::p] = map(sub, num, repeat(alpha * p ** n * jump))
             num = nxt
-        q, reps = p ** o.depth, p ** (depth - o.depth)
         floors = map(floordiv, num, repeat(q))
-        if reps > 1:
-            floors = chain.from_iterable(map(repeat, floors, repeat(reps)))
-        prefix = list(map(add, prefix, floors))
-    reps = p ** (t.group.v - depth)
-    if reps > 1:
-        prefix = list(chain.from_iterable(map(repeat, prefix, repeat(reps))))
-    return prefix
+        if k == 0:
+            table = list(floors)
+        else:
+            wide = _repeat_each(table, p, p ** (o.depth - depth))
+            table = list(map(add, wide, floors))
+        depth = o.depth
+    return _repeat_each(table, p, p ** (t.group.v - depth))
 
 
 def euler_from_degrees(degrees: Sequence[int], t: CoverTower) -> K0Vector:
@@ -206,7 +229,7 @@ def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionRepo
     graded-piece divisors of V_1..V_{p^v} in index order, and deg_j is
     the base degree plus the j-th entry of each column.  The walk costs
     O(#orbits * p^v) arithmetic, in builtins, and O(#orbits * p * v)
-    interpreter steps.
+    interpreter steps.  The report keeps the Euler vector it converts.
     """
     _require_large_degree(d, t)
     g = t.group
@@ -214,8 +237,9 @@ def decompose_recursive(d: InvariantDivisor, t: CoverTower) -> DecompositionRepo
     for n in range(1, g.v + 1):
         columns = pushforward_columns(columns, t, n)
     degs = column_degrees(d.base_degree, columns, t)
-    std = from_simple_basis(euler_from_degrees(degs, t), g)
-    return DecompositionReport(tuple(degs), std.coords)
+    euler = euler_from_degrees(degs, t)
+    return DecompositionReport(tuple(degs), from_simple_basis(euler, g).coords,
+                               euler)
 
 
 def euler_characteristic(d: InvariantDivisor, t: CoverTower) -> K0Vector:

@@ -13,3 +13,9 @@ def cartan_matrix(g: GroupSpec) -> list[list[int]]:
     dim Hom(V_i, V_j) = min(i, j) (1-indexed)."""
     n = g.order
     return [[min(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def dim_h0(mult) -> int:
+    """Dimension of the module with multiplicities mult[j - 1] of V_j:
+    sum_j j m_j."""
+    return sum(j * m for j, m in enumerate(mult, start=1))

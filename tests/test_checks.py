@@ -8,13 +8,14 @@ from itertools import product
 
 import pytest
 
-from galmod import checks
+from galmod import checks, cli
 from galmod.checks import MAX_COEFF, MAX_JUMP, check_case, generate_corpus, iter_corpus
 from galmod.cover_tower import CoverTower, InvariantDivisor, RamifiedOrbit, validate_strict
 from galmod.cyclic_rep import GroupSpec
-from galmod.decomposition import lift_above_vanishing
+from galmod.decomposition import ALL_METHODS, METHOD_CLOSED, lift_above_vanishing
 from galmod.errors import GalmodError
 from mutants import MUTANTS, apply_mutant, count_calls, count_line_events, one_orbit_case
+from reference import dim_h0
 
 # (p, v, depth of the deepest orbit); `generate_corpus` caps its breaks at
 # MAX_JUMP, so it never draws an orbit of depth 3 at p = 3 or 5
@@ -89,6 +90,17 @@ def test_check_case_passes_the_stratified_sample(stratified):
             for t, _ in stratified} == set(STRATA)
     assert max(max(o.jumps) for t, _ in stratified for o in t.orbits) > MAX_JUMP
     assert [case for case in stratified if check_case(case)] == []
+
+
+@pytest.mark.parametrize("methods", [tuple(ALL_METHODS), (METHOD_CLOSED,)])
+def test_report_dim_h0_is_the_last_euler_coordinate(stratified, methods):
+    # the Cartan matrix is min(i, j), so the last simple-basis coordinate
+    # is sum_j j m_j, whether Recursive formed the vector or the report did
+    for t, d in stratified:
+        report = cli.build_report(t, d, {}, methods, True)
+        mult = report["multiplicities"]
+        assert (report["dim_h0"] == dim_h0(mult)
+                == report["euler_simple_basis"][-1]), (t, d)
 
 
 def test_check_case_work_per_case(monkeypatch):

@@ -460,8 +460,51 @@ _VALUES = st.recursive(
 @example({"a": [0]})
 @example({"a": [-7, 2 ** 80]})
 @example({"a": [1, True]})
+# every kind of list item and top-level value, each under its own key
+@example({"ints": [-3, 0, 12, -2 ** 70], "one": [5], "empty": [],
+          "bools": [True, False], "zero, false": [0, False],
+          "floats": [3.0, 1e20, -0.5], "int, float": [1, 3.0],
+          "digit strings": ["12", "-3"], "none": [None], "none, int": [None, 1],
+          "nested": [[1, 2], [-3]], "int, list": [1, [2]], "int": -4,
+          "string": "12", "null": None, "bool": True, "float": 3.0,
+          "dict": {"b": [1]}})
 def test_render_json_matches_json_dumps(obj):
     assert cli.render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_render_json_matches_json_dumps_on_whole_reports(tmp_path):
+    path = tmp_path / "order3125.json"
+    path.write_text(json.dumps(ORDER_3125_DOC))
+    tower, d, options = cli.parse_document(cli.load_document(str(path)))
+    report = cli.build_report(tower, d, options, cli.METHOD_FLAGS["all"], True)
+    assert cli.render_json(report) == json.dumps(report, indent=2,
+                                                 sort_keys=True)
+    # the oracle and noether reports, read back from their stdout
+    readme = tmp_path / "readme.json"
+    readme.write_text(json.dumps(README_DOC))
+    for argv in (["oracle", "--p", "3", "--m-max", "5", "--n-max", "20"],
+                 ["noether", str(readme), "--w", "1"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n", argv
+
+
+@pytest.mark.parametrize("method", ["all", "closed"])
+def test_decompose_forms_the_euler_vector_once(method, tmp_path, capsys,
+                                                monkeypatch):
+    # with Recursive in the run the report reuses its vector; without it
+    # the report forms the vector itself
+    calls = count_calls(monkeypatch, ("euler_from_degrees",))
+    path = tmp_path / "order3125.json"
+    path.write_text(json.dumps(ORDER_3125_DOC))
+    code, out, _ = run(capsys, "decompose", str(path), "--method", method,
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["euler_simple_basis"]) == 3125
+    assert calls["euler_from_degrees"] == 1
 
 
 def test_main_builds_the_parser_once_and_reads_commands_at_call_time(
@@ -497,6 +540,11 @@ def test_check_holds_one_case_at_a_time(monkeypatch):
             live.append(live_towers())
         return real(case)
 
+    # one untimed run first fills the caches of the corpus parts (the free
+    # towers among them, whose bound test_checks.py pins), so that what is
+    # counted is what the run holds, whichever tests ran before
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", "--cases", "1000"]) == 0
     monkeypatch.setattr(cli, "check_case", counted)
     gc.collect()
     before = live_towers()
